@@ -14,7 +14,6 @@
 //! contract across the simulated network.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use orb::{Orb, Request, RetryPolicy, Servant, Value};
 
@@ -119,12 +118,13 @@ pub struct RemoteActionProxy {
     orb: Orb,
     from_node: String,
     target: orb::ObjectRef,
-    policy: Option<RetryPolicy>,
-    deadline: Option<Duration>,
+    policy: RetryPolicy,
 }
 
 impl RemoteActionProxy {
-    /// Build a proxy that invokes `target` from `from_node`.
+    /// Build a proxy that invokes `target` from `from_node`, retrying up to
+    /// nine immediate attempts ([`RetryPolicy::immediate`]) unless
+    /// [`RemoteActionProxy::with_policy`] says otherwise.
     pub fn new(
         name: impl Into<String>,
         orb: Orb,
@@ -136,27 +136,18 @@ impl RemoteActionProxy {
             orb,
             from_node: from_node.into(),
             target,
-            policy: None,
-            deadline: None,
+            policy: RetryPolicy::immediate(9),
         }
     }
 
-    /// Deliver signals under an explicit [`RetryPolicy`] (backoff timed on
-    /// the ORB's virtual clock) instead of the ORB's legacy immediate
-    /// at-least-once loop.
-    #[must_use]
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Bound every delivery (including its backoff sleeps) by an absolute
-    /// virtual-time deadline — typically the owning activity's
+    /// Deliver signals under `policy` (backoff timed on the ORB's virtual
+    /// clock). Bound every delivery, backoff sleeps included, with
+    /// [`RetryPolicy::with_deadline`] — typically the owning activity's
     /// [`crate::Activity::deadline`], so retry can never outlive the
     /// activity's own timeout.
     #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -176,17 +167,10 @@ impl Action for RemoteActionProxy {
         if let Some(id) = signal.delivery_id() {
             request.set_delivery_id(id);
         }
-        let reply = match &self.policy {
-            Some(policy) => self.orb.invoke_with_policy(
-                &self.from_node,
-                &self.target,
-                request,
-                policy,
-                self.deadline,
-            ),
-            None => self.orb.invoke_at_least_once(&self.from_node, &self.target, request),
-        }
-        .map_err(|e| ActionError::new(e.to_string()))?;
+        let reply = self
+            .orb
+            .invoke(&self.from_node, &self.target, request, &self.policy)
+            .map_err(|e| ActionError::new(e.to_string()))?;
         Outcome::from_value(&reply.result).map_err(|e: ActivityError| ActionError::new(e.to_string()))
     }
 
@@ -200,6 +184,7 @@ mod tests {
     use super::*;
     use orb::NetworkConfig;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn fn_action_delegates() {
@@ -232,10 +217,7 @@ mod tests {
     fn remote_proxy_survives_lossy_network() {
         // 40% drop: at-least-once retry gets the signal through, possibly
         // executing it several times — the action must tolerate that.
-        let orb = Orb::builder()
-            .network(NetworkConfig::lossy(0.4, 0.2, 99))
-            .retry_budget(64)
-            .build();
+        let orb = Orb::builder().network(NetworkConfig::lossy(0.4, 0.2, 99)).build();
         let node = orb.add_node("server").unwrap();
         let hits = Arc::new(AtomicU32::new(0));
         let hits2 = Arc::clone(&hits);
@@ -244,7 +226,8 @@ mod tests {
             Ok(Outcome::done())
         }));
         let obj = node.activate("Action", ActionServant::new(action)).unwrap();
-        let proxy = RemoteActionProxy::new("p", orb, "client", obj);
+        let proxy =
+            RemoteActionProxy::new("p", orb, "client", obj).with_policy(RetryPolicy::immediate(65));
         let out = proxy.process_signal(&Signal::new("go", "set")).unwrap();
         assert!(out.is_done());
         assert!(hits.load(Ordering::SeqCst) >= 1, "delivered at least once");
@@ -294,9 +277,11 @@ mod tests {
         let action: Arc<dyn Action> =
             Arc::new(FnAction::new("never", |_s: &Signal| Ok(Outcome::done())));
         let obj = node.activate("Action", ActionServant::new(action)).unwrap();
-        let proxy = RemoteActionProxy::new("p", orb.clone(), "client", obj)
-            .with_policy(RetryPolicy::new(1000).with_base_backoff(Duration::from_millis(1)))
-            .with_deadline(Duration::from_millis(10));
+        let proxy = RemoteActionProxy::new("p", orb.clone(), "client", obj).with_policy(
+            RetryPolicy::new(1000)
+                .with_base_backoff(Duration::from_millis(1))
+                .with_deadline(Duration::from_millis(10)),
+        );
         let err = proxy.process_signal(&Signal::new("go", "set")).unwrap_err();
         assert!(err.message().contains("deadline exceeded"), "{}", err.message());
         assert!(orb.clock().now() <= Duration::from_millis(10));

@@ -132,8 +132,9 @@ impl Action for SubordinateRelay {
 }
 
 /// Convenience: expose a relay on an ORB node and register a proxy to it
-/// with a superior coordinator, in one step. Returns the relay for local
-/// enlistment.
+/// with a superior coordinator, in one step. The proxy delivers the
+/// superior's signals to the relay under the caller's `policy`. Returns the
+/// relay for local enlistment.
 ///
 /// # Errors
 ///
@@ -144,6 +145,7 @@ pub fn interpose(
     orb: &orb::Orb,
     node: &orb::Node,
     relay_name: impl Into<String>,
+    policy: orb::RetryPolicy,
 ) -> Result<Arc<SubordinateRelay>, ActivityError> {
     let relay_name = relay_name.into();
     let relay = SubordinateRelay::new(relay_name.clone());
@@ -155,7 +157,8 @@ pub fn interpose(
         orb.clone(),
         node.name().to_owned(),
         reference,
-    );
+    )
+    .with_policy(policy);
     superior.register_action(set_name, Arc::new(proxy) as Arc<dyn Action>);
     Ok(relay)
 }
@@ -259,6 +262,7 @@ mod tests {
             &orb,
             &node_b,
             "node-b-relay",
+            orb::RetryPolicy::immediate(9),
         )
         .unwrap();
         let hits = Arc::new(AtomicU32::new(0));

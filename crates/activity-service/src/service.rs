@@ -393,7 +393,8 @@ impl ServerRequestInterceptor for ActivityServerInterceptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orb::{Servant, Value};
+    use orb::node::EXTERNAL_CALLER;
+    use orb::{RetryPolicy, Servant, Value};
 
     #[test]
     fn begin_complete_association() {
@@ -516,16 +517,22 @@ mod tests {
         let obj = node.activate("Reporter", Reporter).unwrap();
 
         // No activity: no context.
-        let reply = orb.invoke(&obj, Request::new("whoami")).unwrap();
+        let reply = orb
+            .invoke(EXTERNAL_CALLER, &obj, Request::new("whoami"), &RetryPolicy::none())
+            .unwrap();
         assert!(reply.result.is_null());
 
         // Inside an activity chain: the chain travels implicitly.
         svc.begin("outer").unwrap();
         svc.begin("inner").unwrap();
-        let reply = orb.invoke(&obj, Request::new("whoami")).unwrap();
+        let reply = orb
+            .invoke(EXTERNAL_CALLER, &obj, Request::new("whoami"), &RetryPolicy::none())
+            .unwrap();
         assert_eq!(reply.result.as_str(), Some("outer/inner"));
         svc.complete().unwrap();
-        let reply = orb.invoke(&obj, Request::new("whoami")).unwrap();
+        let reply = orb
+            .invoke(EXTERNAL_CALLER, &obj, Request::new("whoami"), &RetryPolicy::none())
+            .unwrap();
         assert_eq!(reply.result.as_str(), Some("outer"));
         svc.complete().unwrap();
 
@@ -560,7 +567,9 @@ mod tests {
         let group = BasicPropertyGroup::new(PropertyGroupSpec::new("env"));
         group.set("locale", Value::from("de_DE"));
         a.properties().register(group);
-        let reply = orb.invoke(&obj, Request::new("locale")).unwrap();
+        let reply = orb
+            .invoke(EXTERNAL_CALLER, &obj, Request::new("locale"), &RetryPolicy::none())
+            .unwrap();
         assert_eq!(reply.result.as_str(), Some("de_DE"));
         svc.complete().unwrap();
     }
@@ -572,7 +581,8 @@ mod by_reference_tests {
     use crate::property::{
         BasicPropertyGroup, Propagation, PropertyGroup, PropertyGroupSpec,
     };
-    use orb::{Servant, Value};
+    use orb::node::EXTERNAL_CALLER;
+    use orb::{RetryPolicy, Servant, Value};
 
     #[test]
     fn by_reference_groups_resolve_on_the_receiving_node() {
@@ -612,7 +622,8 @@ mod by_reference_tests {
         activity.properties().register(BasicPropertyGroup::new(
             PropertyGroupSpec::new("site-config").propagation(Propagation::ByReference),
         ));
-        let reply = orb.invoke(&obj, Request::new("read")).unwrap();
+        let reply =
+            orb.invoke(EXTERNAL_CALLER, &obj, Request::new("read"), &RetryPolicy::none()).unwrap();
         assert_eq!(reply.result.as_str(), Some("eu-west"));
         sender.complete().unwrap();
     }
@@ -648,7 +659,8 @@ mod by_reference_tests {
         let env = BasicPropertyGroup::new(PropertyGroupSpec::new("env"));
         env.set("locale", Value::from("sv_SE"));
         activity.properties().register(Arc::clone(&env) as Arc<dyn PropertyGroup>);
-        let reply = orb.invoke(&obj, Request::new("read")).unwrap();
+        let reply =
+            orb.invoke(EXTERNAL_CALLER, &obj, Request::new("read"), &RetryPolicy::none()).unwrap();
         assert_eq!(reply.result.as_str(), Some("sv_SE"));
         // The sender's group was not mutated by the receiver.
         assert_eq!(env.get("touched"), None);

@@ -2,12 +2,13 @@
 //! 1. framework dispatch (checked state machine, per-signal snapshots)
 //!    vs direct calls;
 //! 2. implicit (interceptor) vs explicit context propagation;
-//! 3. at-least-once (retrying) vs fire-once delivery on a clean network.
+//! 3. the cost of one plain delivery on a clean network.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use orb::{Orb, Request, Value};
+use orb::node::EXTERNAL_CALLER;
+use orb::{Orb, Request, RetryPolicy, Value};
 
 fn dispatch_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_dispatch");
@@ -37,7 +38,9 @@ fn context_ablation(c: &mut Criterion) {
     let node = bare.add_node("n").unwrap();
     let obj = node.activate("Svc", |_r: &Request| Ok(Value::Null)).unwrap();
     group.bench_function("no_interceptors", |b| {
-        b.iter(|| bare.invoke(&obj, Request::new("op")).unwrap())
+        b.iter(|| {
+            bare.invoke(EXTERNAL_CALLER, &obj, Request::new("op"), &RetryPolicy::none()).unwrap()
+        })
     });
 
     // Activity-service interceptors installed, no current activity.
@@ -47,7 +50,11 @@ fn context_ablation(c: &mut Criterion) {
     let node = with_svc.add_node("n").unwrap();
     let obj = node.activate("Svc", |_r: &Request| Ok(Value::Null)).unwrap();
     group.bench_function("interceptors_idle", |b| {
-        b.iter(|| with_svc.invoke(&obj, Request::new("op")).unwrap())
+        b.iter(|| {
+            with_svc
+                .invoke(EXTERNAL_CALLER, &obj, Request::new("op"), &RetryPolicy::none())
+                .unwrap()
+        })
     });
 
     // Deep activity chain propagated on every call.
@@ -55,7 +62,11 @@ fn context_ablation(c: &mut Criterion) {
     service.begin("l2").unwrap();
     service.begin("l3").unwrap();
     group.bench_function("interceptors_depth3", |b| {
-        b.iter(|| with_svc.invoke(&obj, Request::new("op")).unwrap())
+        b.iter(|| {
+            with_svc
+                .invoke(EXTERNAL_CALLER, &obj, Request::new("op"), &RetryPolicy::none())
+                .unwrap()
+        })
     });
     group.finish();
 }
@@ -68,18 +79,11 @@ fn delivery_ablation(c: &mut Criterion) {
     let orb = Orb::new();
     let node = orb.add_node("n").unwrap();
     let obj = node.activate("Svc", |_r: &Request| Ok(Value::Null)).unwrap();
-    let obj2 = obj.clone();
-    let orb2 = orb.clone();
     group.bench_function("fire_once", |b| {
-        b.iter(|| orb2.invoke(&obj2, Request::new("op")).unwrap())
-    });
-    group.bench_function("at_least_once_wrapper", |b| {
         b.iter(|| {
-            orb.invoke_at_least_once(orb::node::EXTERNAL_CALLER, &obj, Request::new("op"))
-                .unwrap()
+            orb.invoke(EXTERNAL_CALLER, &obj, Request::new("op"), &RetryPolicy::none()).unwrap()
         })
     });
-    drop(Arc::new(()));
     group.finish();
 }
 
@@ -136,8 +140,15 @@ fn interposition_ablation(c: &mut Criterion) {
                             "S", "go", Value::Null,
                         )))
                         .unwrap();
-                    let relay =
-                        interpose(activity.coordinator(), "S", &orb, &node, "relay").unwrap();
+                    let relay = interpose(
+                        activity.coordinator(),
+                        "S",
+                        &orb,
+                        &node,
+                        "relay",
+                        RetryPolicy::immediate(9),
+                    )
+                    .unwrap();
                     for action in bench::trivial_actions(n) {
                         relay.register_local(action);
                     }

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use orb::{Orb, Request, SimClock, Value};
+use orb::{Orb, Request, RetryPolicy, SimClock, Value};
 use ots::{ProtocolJournal, TwoPcEvent, VoteKind};
 
 const PACE: Duration = Duration::from_micros(200);
@@ -67,7 +67,9 @@ fn run_once() -> (String, u64, usize) {
     for (name, object) in &participants {
         journal.record(TwoPcEvent::PrepareSent { participant: (*name).into() });
         clock.advance(PACE);
-        let reply = coordinator.invoke(object, Request::new("prepare")).expect("prepare");
+        let reply = orb
+            .invoke(coordinator.name(), object, Request::new("prepare"), &RetryPolicy::none())
+            .expect("prepare");
         assert_eq!(reply.result.as_str(), Some("commit"));
         journal.record(TwoPcEvent::VoteRecorded {
             participant: (*name).into(),
@@ -80,7 +82,8 @@ fn run_once() -> (String, u64, usize) {
     journal.record(TwoPcEvent::DecisionForced { commit: true });
     for (name, object) in &participants {
         clock.advance(PACE);
-        coordinator.invoke(object, Request::new("outcome")).expect("outcome");
+        orb.invoke(coordinator.name(), object, Request::new("outcome"), &RetryPolicy::none())
+            .expect("outcome");
         journal.record(TwoPcEvent::OutcomeDelivered {
             participant: (*name).into(),
             commit: true,

@@ -20,8 +20,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use orb::node::EXTERNAL_CALLER;
 use orb::{
-    DedupWindow, FailureDetector, Introspection, Orb, Request, SimClock, Value,
+    DedupWindow, FailureDetector, Introspection, Orb, Request, RetryPolicy, SimClock, Value,
 };
 use ots::{
     ProtocolJournal, RecoverableResource, Resource, TransactionFactory, TransactionalKv,
@@ -147,7 +148,9 @@ fn main() {
     println!("## cluster introspection (queried over the wire)");
     let mut table = String::new();
     for object in [&coord_ref, &store_ref, &witness_ref] {
-        let reply = orb.invoke(object, Request::new("snapshot")).expect("snapshot");
+        let reply = orb
+            .invoke(EXTERNAL_CALLER, object, Request::new("snapshot"), &RetryPolicy::none())
+            .expect("snapshot");
         table.push_str(reply.result.as_str().expect("snapshot renders as a string"));
     }
     print!("{table}");

@@ -59,8 +59,8 @@ fn main() {
     println!("## R1 (sec 10): reliability-layer fault-free overhead, µs/op");
     println!("# paired interleaved batches, median of {BATCHES}; budget <2% (within noise)");
 
-    println!("# fig. 5 remote dispatch: legacy at-least-once vs RetryPolicy(8)");
-    println!("{:>8} {:>13} {:>13} {:>10}", "actions", "legacy", "policy", "delta");
+    println!("# fig. 5 remote dispatch: RetryPolicy::immediate(9) vs RetryPolicy::new(8)");
+    println!("{:>8} {:>13} {:>13} {:>10}", "actions", "immediate", "backoff", "delta");
     for n in [4usize, 16, 64] {
         let iters = (8192 / n).max(32) as u32;
         compare(

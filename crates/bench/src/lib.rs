@@ -361,16 +361,15 @@ pub fn instrumented_metrics_snapshot() -> String {
 
 /// Reliability-layer overhead workload (the fig. 5 broadcast *over the
 /// wire*): one activity signalling `actions` remote actions behind the
-/// simulated ORB, with the `orb::retry` policy layer either enabled
-/// (8 attempts, deterministic backoff — never exercised on this fault-free
-/// path) or the legacy immediate at-least-once loop. The delta between the
-/// two isolates the per-delivery cost of policy evaluation, delivery-id
-/// stamping and deadline checks. Returns responses collated.
+/// simulated ORB, delivered either under a backoff policy (8 attempts,
+/// deterministic backoff — never exercised on this fault-free path) or
+/// under nine immediate attempts, the proxies' default. The delta between
+/// the two isolates the per-delivery cost of backoff configuration.
+/// Returns responses collated.
 pub fn remote_dispatch_with_retry(actions: usize, with_policy: bool) -> u64 {
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, 0x0BE7_CAFE))
         .clock(SimClock::new())
-        .retry_budget(8)
         .build();
     orb.add_node("coordinator").expect("coordinator node");
     let worker = orb.add_node("worker").expect("worker node");
@@ -389,11 +388,13 @@ pub fn remote_dispatch_with_retry(actions: usize, with_policy: bool) -> u64 {
         let obj = worker
             .activate("Action", ActionServant::new(servant))
             .expect("activate action");
-        let mut proxy = RemoteActionProxy::new(format!("r{i}"), orb.clone(), "coordinator", obj);
-        if with_policy {
-            proxy = proxy
-                .with_policy(RetryPolicy::new(8).with_base_backoff(Duration::from_millis(1)));
-        }
+        let policy = if with_policy {
+            RetryPolicy::new(8).with_base_backoff(Duration::from_millis(1))
+        } else {
+            RetryPolicy::immediate(9)
+        };
+        let proxy = RemoteActionProxy::new(format!("r{i}"), orb.clone(), "coordinator", obj)
+            .with_policy(policy);
         activity.coordinator().register_action("Bench", Arc::new(proxy) as _);
     }
     let outcome = activity.signal("Bench").expect("signal");
@@ -713,7 +714,8 @@ pub fn interposition_messages(participants: usize, interposed: bool) -> u64 {
         .expect("set");
     if interposed {
         let relay =
-            interpose(activity.coordinator(), "S", &orb, &node, "relay").expect("interpose");
+            interpose(activity.coordinator(), "S", &orb, &node, "relay", RetryPolicy::immediate(9))
+                .expect("interpose");
         for action in trivial_actions(participants) {
             relay.register_local(action);
         }

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use orb::{NetworkConfig, Orb, Request, SimClock, Value};
+use orb::{NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use ots::journal::{ProtocolJournal, TwoPcEvent, VoteKind};
 
 use crate::oracle::{Observation, RunOutcome};
@@ -51,7 +51,7 @@ impl Scenario for ReorderedOutcomeScenario {
             .network(NetworkConfig::reliable())
             .clock(clock.clone())
             .build();
-        let coord_node = orb.add_node(COORDINATOR).expect("add coordinator");
+        orb.add_node(COORDINATOR).expect("add coordinator");
         let plane = telemetry::CausalityPlane::new();
         let coord_recorder = telemetry::FlightRecorder::with_time(
             COORDINATOR,
@@ -89,7 +89,9 @@ impl Scenario for ReorderedOutcomeScenario {
         for (name, object) in &refs {
             journal.record(TwoPcEvent::PrepareSent { participant: (*name).into() });
             clock.advance(STEP);
-            let reply = coord_node.invoke(object, Request::new("prepare")).expect("invoke");
+            let reply = orb
+                .invoke(COORDINATOR, object, Request::new("prepare"), &RetryPolicy::none())
+                .expect("invoke");
             let _ = writeln!(trace, "prepare({name}) -> {:?}", reply.result);
             journal.record(TwoPcEvent::VoteRecorded {
                 participant: (*name).into(),
@@ -102,7 +104,9 @@ impl Scenario for ReorderedOutcomeScenario {
         let mut deliver = |idx: usize| {
             let (name, object) = &refs[idx];
             clock.advance(STEP);
-            let reply = coord_node.invoke(object, Request::new("outcome")).expect("invoke");
+            let reply = orb
+                .invoke(COORDINATOR, object, Request::new("outcome"), &RetryPolicy::none())
+                .expect("invoke");
             let _ = writeln!(trace, "outcome({name}) -> {:?}", reply.result);
             journal.record(TwoPcEvent::OutcomeDelivered {
                 participant: (*name).into(),

@@ -356,10 +356,8 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
     }
     let audit_policy = RetryPolicy::new(3);
     for name in ["store", "witness"] {
-        let request =
-            Request::new("replay_completion").with_arg("tx", txid_to_value(control.id()));
-        let answer =
-            orb.invoke_with_policy(PARTICIPANT_NODE, &rc_object, request, &audit_policy, None);
+        let request = Request::new("replay_completion").with_arg("tx", txid_to_value(control.id()));
+        let answer = orb.invoke(PARTICIPANT_NODE, &rc_object, request, &audit_policy);
         let _ = writeln!(trace, "audit[{name}]: {:?}", answer.map(|reply| reply.result));
     }
 

@@ -23,8 +23,8 @@ const NETWORK_SEED: u64 = 0x5EED_0001;
 /// How the workflow's remote signal delivery handles transport faults.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RetryMode {
-    /// The ORB's legacy immediate at-least-once loop (no policy layer, no
-    /// fault accounting — the liveness oracle does not bind).
+    /// 65 immediate attempts with no backoff and no fault accounting —
+    /// the liveness oracle does not bind.
     Legacy,
     /// The `orb::retry` reliability layer with `attempts` total attempts
     /// and deterministic backoff. Reports fault accounting, so the
@@ -70,7 +70,6 @@ pub(crate) fn run_workflow_with(
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, NETWORK_SEED))
         .clock(clock)
-        .retry_budget(64)
         .telemetry(telemetry.clone())
         .build();
     orb.add_node("coordinator").expect("coordinator node");
@@ -120,17 +119,15 @@ pub(crate) fn run_workflow_with(
         .add_signal_set(Box::new(BroadcastSignalSet::new("Bill", "charge", Value::U64(25))))
         .expect("signal set");
     activity.set_completion_signal_set("Bill");
-    let mut proxy = RemoteActionProxy::new("remote", orb.clone(), "coordinator", obj);
-    match retry {
-        RetryMode::Legacy => {}
+    let policy = match retry {
+        RetryMode::Legacy => RetryPolicy::immediate(65),
         RetryMode::Policy { attempts } => {
-            proxy = proxy.with_policy(
-                RetryPolicy::new(attempts)
-                    .with_base_backoff(std::time::Duration::from_millis(1)),
-            );
+            RetryPolicy::new(attempts).with_base_backoff(std::time::Duration::from_millis(1))
         }
-        RetryMode::None => proxy = proxy.with_policy(RetryPolicy::none()),
-    }
+        RetryMode::None => RetryPolicy::none(),
+    };
+    let proxy =
+        RemoteActionProxy::new("remote", orb.clone(), "coordinator", obj).with_policy(policy);
     activity.coordinator().register_action("Bill", Arc::new(proxy) as _);
 
     let result = service.complete();

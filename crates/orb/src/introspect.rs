@@ -133,7 +133,8 @@ impl Servant for Introspection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Orb;
+    use crate::node::{Orb, EXTERNAL_CALLER};
+    use crate::retry::RetryPolicy;
 
     #[test]
     fn probes_render_locally_and_over_the_wire() {
@@ -152,20 +153,18 @@ mod tests {
         assert!(snap.contains("    flush_lsn=7"), "{snap}");
 
         // Over the wire, like any other servant.
-        let reply = orb.invoke(&object, Request::new("list")).expect("list");
+        let ask = |request| orb.invoke(EXTERNAL_CALLER, &object, request, &RetryPolicy::none());
+        let reply = ask(Request::new("list")).expect("list");
         assert_eq!(reply.result.as_str(), Some("detector,wal"));
-        let reply = orb
-            .invoke(&object, Request::new("query").with_arg("probe", Value::from("wal")))
-            .expect("query");
+        let reply =
+            ask(Request::new("query").with_arg("probe", Value::from("wal"))).expect("query");
         assert_eq!(reply.result.as_str(), Some("flush_lsn=7"));
-        let reply = orb.invoke(&object, Request::new("snapshot")).expect("snapshot");
+        let reply = ask(Request::new("snapshot")).expect("snapshot");
         assert!(reply.result.as_str().unwrap_or_default().contains("ledger: Suspect"));
 
         // Unknown probes and operations are errors, not panics.
-        assert!(orb
-            .invoke(&object, Request::new("query").with_arg("probe", Value::from("zz")))
-            .is_err());
-        assert!(orb.invoke(&object, Request::new("mutate")).is_err());
+        assert!(ask(Request::new("query").with_arg("probe", Value::from("zz"))).is_err());
+        assert!(ask(Request::new("mutate")).is_err());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! 1. **Location-transparent invocation** — objects ([`Servant`]s) are
 //!    registered on [`Node`]s and invoked through [`ObjectRef`]s regardless of
-//!    which node the caller sits on.
+//!    which node the caller sits on, all through the one [`Orb::invoke`]
+//!    path under a [`RetryPolicy`].
 //! 2. **Implicit context propagation** — [`ServiceContext`] entries attached
 //!    to a [`Request`] travel with every invocation, and
 //!    [`interceptor::ClientRequestInterceptor`] /
@@ -25,7 +26,8 @@
 //! # Example
 //!
 //! ```
-//! use orb::{Orb, Request, Servant, Value};
+//! use orb::node::EXTERNAL_CALLER;
+//! use orb::{Orb, Request, RetryPolicy, Servant, Value};
 //! use orb::error::OrbError;
 //!
 //! struct Echo;
@@ -39,7 +41,8 @@
 //! let orb = Orb::builder().build();
 //! let node = orb.add_node("alpha")?;
 //! let echo = node.activate("echo", Echo)?;
-//! let reply = orb.invoke(&echo, Request::new("echo").with_arg("msg", Value::from("hi")))?;
+//! let request = Request::new("echo").with_arg("msg", Value::from("hi"));
+//! let reply = orb.invoke(EXTERNAL_CALLER, &echo, request, &RetryPolicy::none())?;
 //! assert_eq!(reply.result, Value::from("hi"));
 //! # Ok(())
 //! # }

@@ -7,8 +7,6 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::RwLock;
 
-use std::time::Duration;
-
 use telemetry::{CausalityPlane, Telemetry};
 
 use crate::clock::SimClock;
@@ -24,8 +22,8 @@ use crate::object::{ObjectId, ObjectRef, Servant};
 use crate::registry::NameRegistry;
 use crate::retry::RetryPolicy;
 
-/// Source name used when a caller invokes straight through [`Orb::invoke`]
-/// without identifying a node (e.g. a test driver outside the simulation).
+/// Source name for a caller of [`Orb::invoke`] that sits on no node (e.g. a
+/// test driver outside the simulation).
 pub const EXTERNAL_CALLER: &str = "<external>";
 
 struct NodeInner {
@@ -107,21 +105,6 @@ impl Node {
     pub fn servant_count(&self) -> usize {
         self.inner.servants.read().len()
     }
-
-    /// Invoke `object` with this node as the network source.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors ([`OrbError::Timeout`],
-    /// [`OrbError::Partitioned`]) and servant failures.
-    pub fn invoke(&self, object: &ObjectRef, request: Request) -> Result<Reply, OrbError> {
-        let orb = self
-            .inner
-            .orb
-            .upgrade()
-            .ok_or_else(|| OrbError::NodeNotFound(self.inner.name.clone()))?;
-        orb.invoke_from(&self.inner.name, object, request)
-    }
 }
 
 struct OrbInner {
@@ -131,7 +114,6 @@ struct OrbInner {
     client_interceptors: RwLock<Vec<Arc<dyn ClientRequestInterceptor>>>,
     server_interceptors: RwLock<Vec<Arc<dyn ServerRequestInterceptor>>>,
     registry: NameRegistry,
-    retry_budget: u32,
     delivery_seq: AtomicU64,
     detector: RwLock<Option<FailureDetector>>,
     telemetry: RwLock<Option<Telemetry>>,
@@ -140,10 +122,7 @@ struct OrbInner {
 
 impl fmt::Debug for OrbInner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Orb")
-            .field("nodes", &self.nodes.read().len())
-            .field("retry_budget", &self.retry_budget)
-            .finish()
+        f.debug_struct("Orb").field("nodes", &self.nodes.read().len()).finish()
     }
 }
 
@@ -161,7 +140,6 @@ pub struct Orb {
 pub struct OrbBuilder {
     config: NetworkConfig,
     clock: Option<SimClock>,
-    retry_budget: u32,
     telemetry: Option<Telemetry>,
 }
 
@@ -170,7 +148,6 @@ impl fmt::Debug for OrbBuilder {
         f.debug_struct("OrbBuilder")
             .field("config", &self.config)
             .field("clock", &self.clock)
-            .field("retry_budget", &self.retry_budget)
             .field("telemetry", &self.telemetry.is_some())
             .finish()
     }
@@ -191,13 +168,6 @@ impl OrbBuilder {
         self
     }
 
-    /// Retry budget used by [`Orb::invoke_at_least_once`] (default 8).
-    #[must_use]
-    pub fn retry_budget(mut self, retries: u32) -> Self {
-        self.retry_budget = retries;
-        self
-    }
-
     /// Attach a telemetry recorder; `build` registers the span-propagation
     /// interceptor pair automatically (see [`Orb::install_telemetry`]).
     #[must_use]
@@ -209,7 +179,6 @@ impl OrbBuilder {
     /// Build the ORB.
     pub fn build(self) -> Orb {
         let clock = self.clock.unwrap_or_default();
-        let retry_budget = if self.retry_budget == 0 { 8 } else { self.retry_budget };
         let orb = Orb {
             inner: Arc::new(OrbInner {
                 network: SimulatedNetwork::new(self.config, clock),
@@ -218,7 +187,6 @@ impl OrbBuilder {
                 client_interceptors: RwLock::new(Vec::new()),
                 server_interceptors: RwLock::new(Vec::new()),
                 registry: NameRegistry::new(),
-                retry_budget,
                 delivery_seq: AtomicU64::new(1),
                 detector: RwLock::new(None),
                 telemetry: RwLock::new(None),
@@ -310,96 +278,45 @@ impl Orb {
         self.inner.server_interceptors.write().push(interceptor);
     }
 
-    /// Invoke from outside the simulation (source [`EXTERNAL_CALLER`]).
+    /// Invoke `object` on behalf of node `from` ([`EXTERNAL_CALLER`] for a
+    /// driver outside the simulation) under `policy`. This is the ORB's
+    /// only invocation path; [`RetryPolicy::none`] is the plain single call.
+    ///
+    /// The request is stamped with a [`Request::delivery_id`] once per
+    /// *logical* call, before the first attempt, so every retry and every
+    /// network duplicate shares the id and dedup-guarded receivers process
+    /// the call effect-once. Every attempt takes the same steps: an
+    /// `attempt:` span when telemetry is installed, the client
+    /// interceptors, the transport, and evidence about the target node for
+    /// the attached [`FailureDetector`] (if any). Retryable transport
+    /// failures are re-attempted under `policy`, so the servant may run
+    /// **more than once** for one logical call — the at-least-once delivery
+    /// the paper specifies for Signals (§3.4), which is why Actions must be
+    /// idempotent.
     ///
     /// # Errors
     ///
-    /// Propagates transport errors and servant failures; see
-    /// [`Node::invoke`].
-    pub fn invoke(&self, object: &ObjectRef, request: Request) -> Result<Reply, OrbError> {
-        self.inner.invoke_from(EXTERNAL_CALLER, object, request)
-    }
-
-    /// Invoke with an explicit source node name.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors and servant failures.
-    pub fn invoke_from(
-        &self,
-        from: &str,
-        object: &ObjectRef,
-        request: Request,
-    ) -> Result<Reply, OrbError> {
-        self.inner.invoke_from(from, object, request)
-    }
-
-    /// One-way (fire-and-forget) invocation: the request leg goes through
-    /// the network and the servant runs, but no reply is awaited — the
-    /// CORBA `oneway` semantics. Returns whether the request was delivered
-    /// at all (a dropped or partitioned request is reported, since the
-    /// simulation knows; a real ORB would not).
-    pub fn invoke_oneway(&self, from: &str, object: &ObjectRef, request: Request) -> bool {
-        self.inner.invoke_oneway(from, object, request)
-    }
-
-    /// Invoke with at-least-once semantics: retryable transport failures are
-    /// retried up to the configured budget. The servant may therefore run
-    /// **more than once** for a single logical call — exactly the delivery
-    /// guarantee the paper specifies for Signals (§3.4), which is why Actions
-    /// must be idempotent.
-    ///
-    /// Expressed as [`RetryPolicy::immediate`] over the configured budget:
-    /// back-to-back attempts with no backoff and no deadline, so virtual
-    /// time and the network trace are exactly what the legacy loop produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last transport error when the budget is exhausted, or the
-    /// servant's failure immediately (application errors are not retried).
-    pub fn invoke_at_least_once(
-        &self,
-        from: &str,
-        object: &ObjectRef,
-        request: Request,
-    ) -> Result<Reply, OrbError> {
-        let policy = RetryPolicy::immediate(self.inner.retry_budget.saturating_add(1));
-        self.invoke_with_policy(from, object, request, &policy, None)
-    }
-
-    /// Invoke under an explicit [`RetryPolicy`] and optional absolute
-    /// virtual-time `deadline` (the composition point for
-    /// `Activity::set_timeout`: pass the activity's deadline and the retry
-    /// loop can never outlive the activity).
-    ///
-    /// The request is stamped with a [`Request::delivery_id`] — once per
-    /// *logical* call, before the first attempt — so every retry shares the
-    /// id and dedup-guarded receivers process the call effect-once. Per
-    /// attempt, the target node's health is reported to the attached
-    /// [`FailureDetector`] (if any).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors once the policy's budget is spent,
-    /// [`OrbError::DeadlineExceeded`] when the deadline cuts the loop short
-    /// (including mid-backoff), and non-retryable failures immediately.
-    pub fn invoke_with_policy(
+    /// Transport errors ([`OrbError::Timeout`], [`OrbError::Partitioned`])
+    /// once the policy's attempts are spent, [`OrbError::DeadlineExceeded`]
+    /// when the policy's deadline cuts the loop short (including
+    /// mid-backoff), and servant failures or interceptor vetoes immediately.
+    pub fn invoke(
         &self,
         from: &str,
         object: &ObjectRef,
         mut request: Request,
         policy: &RetryPolicy,
-        deadline: Option<Duration>,
     ) -> Result<Reply, OrbError> {
         if request.delivery_id().is_none() {
             let seq = self.inner.delivery_seq.fetch_add(1, Ordering::Relaxed);
             request.set_delivery_id(format!("{from}#{seq}"));
         }
-        let delivery_id = request.delivery_id().expect("stamped above").to_owned();
-        let operation = request.operation().to_owned();
+        request.set_route(from, object.node());
+        let delivery_id = request.delivery_id().expect("stamped above");
+        let operation = request.operation();
         let detector = self.inner.detector.read().clone();
         let telemetry = self.inner.telemetry.read().clone();
-        policy.run(self.clock(), deadline, &operation, &delivery_id, |attempt| {
+        policy.run(self.clock(), operation, delivery_id, |attempt| {
             // Each attempt is its own span, tagged with the shared logical
             // delivery id; re-attempts (attempt > 0) bump the retry
             // counter. Both are single-atomic-load no-ops when telemetry
@@ -409,13 +326,13 @@ impl Orb {
                     t.metrics().incr("retry_attempts_total");
                 }
                 let span = t.start_span(&format!("attempt:{operation}"));
-                t.set_attr(&span, "delivery_id", &delivery_id);
+                t.set_attr(&span, "delivery_id", delivery_id);
                 t.set_attr(&span, "attempt", &attempt.to_string());
                 t.set_attr(&span, "to", object.node());
                 t.enter(span);
                 span
             });
-            let result = self.inner.invoke_from(from, object, request.clone());
+            let result = self.inner.attempt(from, object, request.clone());
             if let (Some(telemetry), Some(span)) = (&telemetry, &span) {
                 if let Err(e) = &result {
                     telemetry.set_attr(span, "error", &e.to_string());
@@ -434,7 +351,7 @@ impl Orb {
         })
     }
 
-    /// Attach a [`FailureDetector`]; every policy-driven invocation feeds it
+    /// Attach a [`FailureDetector`]; every invocation feeds it
     /// per-attempt evidence about the target node. If telemetry is
     /// installed, the detector's state transitions are counted in the
     /// metrics registry.
@@ -489,106 +406,21 @@ impl Orb {
 }
 
 impl OrbInner {
-    /// Stamp the route and (if absent) a fresh delivery id — once per
-    /// logical call, before client interceptors run, so every request on
-    /// the wire is dedup-addressable and interceptors know both ends.
-    fn prepare_request(&self, from: &str, object: &ObjectRef, request: &mut Request) {
-        if request.delivery_id().is_none() {
-            let seq = self.delivery_seq.fetch_add(1, Ordering::Relaxed);
-            request.set_delivery_id(format!("{from}#{seq}"));
-        }
-        request.set_route(from, object.node());
-    }
-
-    fn invoke_oneway(&self, from: &str, object: &ObjectRef, mut request: Request) -> bool {
-        self.prepare_request(from, object, &mut request);
-        let client_interceptors: Vec<_> = self.client_interceptors.read().clone();
-        for (ran, ci) in client_interceptors.iter().enumerate() {
-            if let Err(e) = ci.send_request(&mut request) {
-                notify_exception(&client_interceptors[..ran], &request, &e);
-                return false;
-            }
-        }
-        let result = self.oneway_transport(from, object, &request);
-        match result {
-            Ok(()) => {
-                // No reply leg exists for a oneway; `receive_reply` fires
-                // with a synthetic local reply so per-request interceptor
-                // state (e.g. the span opened in `send_request`) closes.
-                let mut scratch = Reply::new(crate::value::Value::Null);
-                for ci in client_interceptors.iter().rev() {
-                    ci.receive_reply(&request, &mut scratch);
-                }
-                true
-            }
-            Err(e) => {
-                notify_exception(&client_interceptors, &request, &e);
-                false
-            }
-        }
-    }
-
-    fn oneway_transport(
-        &self,
-        from: &str,
-        object: &ObjectRef,
-        request: &Request,
-    ) -> Result<(), OrbError> {
-        let node = self
-            .nodes
-            .read()
-            .get(object.node())
-            .cloned()
-            .ok_or_else(|| OrbError::NodeNotFound(object.node().to_owned()))?;
-        let servant = node
-            .servants
-            .read()
-            .get(&object.id())
-            .cloned()
-            .ok_or(OrbError::ObjectNotFound(object.id()))?;
-        let copies = match self.network.transmit(from, object.node()) {
-            Delivery::Delivered { copies, .. } => copies,
-            Delivery::Dropped => {
-                return Err(OrbError::Timeout { operation: request.operation().to_owned() })
-            }
-            Delivery::Partitioned => {
-                return Err(OrbError::Partitioned {
-                    from: from.to_owned(),
-                    to: object.node().to_owned(),
-                })
-            }
-        };
-        let server_interceptors: Vec<_> = self.server_interceptors.read().clone();
-        for _ in 0..copies {
-            for si in &server_interceptors {
-                si.receive_request(request)?;
-            }
-            let _ = servant.dispatch(request);
-            let mut scratch = Reply::new(crate::value::Value::Null);
-            for si in server_interceptors.iter().rev() {
-                si.send_reply(request, &mut scratch);
-            }
-        }
-        Ok(())
-    }
-
-    fn invoke_from(
+    /// One attempt of a logical call, through the client interceptors and
+    /// the transport.
+    fn attempt(
         &self,
         from: &str,
         object: &ObjectRef,
         mut request: Request,
     ) -> Result<Reply, OrbError> {
-        self.prepare_request(from, object, &mut request);
         // 1. Client interceptors stamp the outgoing request. A veto
         //    partway through still notifies the interceptors that already
         //    ran, so their per-request state unwinds.
         let client_interceptors: Vec<_> = self.client_interceptors.read().clone();
         for (ran, ci) in client_interceptors.iter().enumerate() {
             if let Err(e) = ci.send_request(&mut request) {
-                let veto = match e {
-                    veto @ OrbError::InterceptorVeto(_) => veto,
-                    other => OrbError::InterceptorVeto(format!("{}: {other}", ci.name())),
-                };
+                let veto = as_veto(ci.name(), e);
                 notify_exception(&client_interceptors[..ran], &request, &veto);
                 return Err(veto);
             }
@@ -653,11 +485,19 @@ impl OrbInner {
         let mut outcome: Option<Result<crate::value::Value, OrbError>> = None;
         let mut reply_contexts: Option<crate::context::ServiceContext> = None;
         for _ in 0..copies {
-            for si in &server_interceptors {
-                si.receive_request(request)?;
+            let mut scratch = Reply::new(crate::value::Value::Null);
+            for (ran, si) in server_interceptors.iter().enumerate() {
+                if let Err(e) = si.receive_request(request) {
+                    // The interceptors that already ran tear down what they
+                    // established (e.g. an entered `serve:` span), as after
+                    // a dispatch.
+                    for earlier in server_interceptors[..ran].iter().rev() {
+                        earlier.send_reply(request, &mut scratch);
+                    }
+                    return Err(as_veto(si.name(), e));
+                }
             }
             let result = servant.dispatch(request);
-            let mut scratch = Reply::new(crate::value::Value::Null);
             for si in server_interceptors.iter().rev() {
                 si.send_reply(request, &mut scratch);
             }
@@ -693,6 +533,15 @@ impl OrbInner {
     }
 }
 
+/// An interceptor's refusal as [`OrbError::InterceptorVeto`], naming the
+/// interceptor unless it already is one.
+fn as_veto(interceptor: &str, error: OrbError) -> OrbError {
+    match error {
+        veto @ OrbError::InterceptorVeto(_) => veto,
+        other => OrbError::InterceptorVeto(format!("{interceptor}: {other}")),
+    }
+}
+
 /// Tell every interceptor in `ran` (reverse order) that the invocation
 /// failed without a reply.
 fn notify_exception(ran: &[Arc<dyn ClientRequestInterceptor>], request: &Request, error: &OrbError) {
@@ -704,8 +553,10 @@ fn notify_exception(ran: &[Arc<dyn ClientRequestInterceptor>], request: &Request
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::NetworkStatsSnapshot;
     use crate::value::Value;
     use std::sync::atomic::AtomicU32;
+    use std::time::Duration;
 
     struct Counter {
         hits: AtomicU32,
@@ -727,13 +578,18 @@ mod tests {
         Arc::new(Counter { hits: AtomicU32::new(0) })
     }
 
+    /// A plain single call from outside the simulation.
+    fn call(orb: &Orb, object: &ObjectRef, request: Request) -> Result<Reply, OrbError> {
+        orb.invoke(EXTERNAL_CALLER, object, request, &RetryPolicy::none())
+    }
+
     #[test]
     fn basic_invocation() {
         let orb = Orb::new();
         let node = orb.add_node("n1").unwrap();
         let c = counter();
         let obj = node.activate_arc("Counter", c.clone()).unwrap();
-        let reply = orb.invoke(&obj, Request::new("hit")).unwrap();
+        let reply = call(&orb, &obj, Request::new("hit")).unwrap();
         assert_eq!(reply.result.as_u64(), Some(1));
         assert_eq!(c.hits.load(Ordering::SeqCst), 1);
     }
@@ -744,7 +600,7 @@ mod tests {
         let n1 = orb.add_node("n1").unwrap();
         let n2 = orb.add_node("n2").unwrap();
         let obj = n2.activate_arc("Counter", counter()).unwrap();
-        let reply = n1.invoke(&obj, Request::new("hit")).unwrap();
+        let reply = orb.invoke(n1.name(), &obj, Request::new("hit"), &RetryPolicy::none()).unwrap();
         assert_eq!(reply.result.as_u64(), Some(1));
     }
 
@@ -762,9 +618,9 @@ mod tests {
         let obj = node.activate("C", |_req: &Request| Ok(Value::Null)).unwrap();
         assert!(node.deactivate(&obj));
         assert!(!node.deactivate(&obj));
-        assert!(matches!(orb.invoke(&obj, Request::new("x")), Err(OrbError::ObjectNotFound(_))));
+        assert!(matches!(call(&orb, &obj, Request::new("x")), Err(OrbError::ObjectNotFound(_))));
         let ghost = ObjectRef::new(ObjectId::new(99, 1), "ghost", "C");
-        assert!(matches!(orb.invoke(&ghost, Request::new("x")), Err(OrbError::NodeNotFound(_))));
+        assert!(matches!(call(&orb, &ghost, Request::new("x")), Err(OrbError::NodeNotFound(_))));
     }
 
     #[test]
@@ -772,26 +628,39 @@ mod tests {
         let orb = Orb::new();
         let node = orb.add_node("n").unwrap();
         let obj = node.activate_arc("Counter", counter()).unwrap();
-        assert!(matches!(orb.invoke(&obj, Request::new("fail")), Err(OrbError::Application(_))));
-        assert!(matches!(orb.invoke(&obj, Request::new("nope")), Err(OrbError::BadOperation(_))));
+        assert!(matches!(call(&orb, &obj, Request::new("fail")), Err(OrbError::Application(_))));
+        assert!(matches!(call(&orb, &obj, Request::new("nope")), Err(OrbError::BadOperation(_))));
     }
 
     #[test]
     fn dropped_messages_time_out_and_retries_recover() {
         // 50% drop: a single shot will eventually fail, but at-least-once
         // delivery with a healthy budget succeeds.
-        let orb = Orb::builder()
-            .network(NetworkConfig::lossy(0.5, 0.0, 11))
-            .retry_budget(64)
-            .build();
+        let orb = Orb::builder().network(NetworkConfig::lossy(0.5, 0.0, 11)).build();
         let node = orb.add_node("srv").unwrap();
         let c = counter();
         let obj = node.activate_arc("Counter", c.clone()).unwrap();
         let reply = orb
-            .invoke_at_least_once(EXTERNAL_CALLER, &obj, Request::new("hit"))
+            .invoke(EXTERNAL_CALLER, &obj, Request::new("hit"), &RetryPolicy::immediate(65))
             .unwrap();
         assert!(reply.result.as_u64().unwrap() >= 1);
         assert!(c.hits.load(Ordering::SeqCst) >= 1);
+        // Exactly the faults seed 11 draws: the first two attempts lose
+        // their request legs, the third runs the servant once and its
+        // reply arrives — two delivered legs at 100µs base latency each.
+        assert_eq!(c.hits.load(Ordering::SeqCst), 1);
+        assert_eq!(reply.result.as_u64(), Some(1));
+        assert_eq!(
+            orb.network().stats(),
+            NetworkStatsSnapshot {
+                sent: 4,
+                delivered: 2,
+                dropped: 2,
+                duplicated: 0,
+                partitioned: 0
+            }
+        );
+        assert_eq!(orb.clock().now(), Duration::from_micros(200));
     }
 
     #[test]
@@ -800,21 +669,33 @@ mod tests {
         let node = orb.add_node("srv").unwrap();
         let c = counter();
         let obj = node.activate_arc("Counter", c.clone()).unwrap();
-        let reply = orb.invoke(&obj, Request::new("hit")).unwrap();
+        let reply = call(&orb, &obj, Request::new("hit")).unwrap();
         assert_eq!(reply.deliveries, 2);
         assert_eq!(c.hits.load(Ordering::SeqCst), 2);
         // The reply carries the FIRST execution's result.
         assert_eq!(reply.result.as_u64(), Some(1));
+        // Both legs duplicated, one base latency (100µs) each.
+        assert_eq!(
+            orb.network().stats(),
+            NetworkStatsSnapshot {
+                sent: 2,
+                delivered: 2,
+                dropped: 0,
+                duplicated: 2,
+                partitioned: 0
+            }
+        );
+        assert_eq!(orb.clock().now(), Duration::from_micros(200));
     }
 
     #[test]
     fn at_least_once_does_not_retry_application_errors() {
-        let orb = Orb::builder().retry_budget(10).build();
+        let orb = Orb::new();
         let node = orb.add_node("srv").unwrap();
         let c = counter();
         let obj = node.activate_arc("Counter", c.clone()).unwrap();
         let err = orb
-            .invoke_at_least_once(EXTERNAL_CALLER, &obj, Request::new("fail"))
+            .invoke(EXTERNAL_CALLER, &obj, Request::new("fail"), &RetryPolicy::immediate(11))
             .unwrap_err();
         assert!(matches!(err, OrbError::Application(_)));
     }
@@ -839,14 +720,7 @@ mod tests {
                 Ok(Value::Null)
             })
             .unwrap();
-        orb.invoke_with_policy(
-            EXTERNAL_CALLER,
-            &obj,
-            Request::new("x"),
-            &RetryPolicy::immediate(3),
-            None,
-        )
-        .unwrap();
+        orb.invoke(EXTERNAL_CALLER, &obj, Request::new("x"), &RetryPolicy::immediate(3)).unwrap();
         let seen = seen.lock();
         assert_eq!(seen.len(), 2, "dropped attempt never reached the servant");
         assert_eq!(seen[0], seen[1], "retry and duplicate share the logical id");
@@ -872,13 +746,7 @@ mod tests {
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate_arc("Counter", counter()).unwrap();
         let err = orb
-            .invoke_with_policy(
-                EXTERNAL_CALLER,
-                &obj,
-                Request::new("hit"),
-                &RetryPolicy::immediate(3),
-                None,
-            )
+            .invoke(EXTERNAL_CALLER, &obj, Request::new("hit"), &RetryPolicy::immediate(3))
             .unwrap_err();
         assert!(matches!(err, OrbError::Timeout { .. }));
         assert_eq!(detector.status("srv"), HealthStatus::Quarantined);
@@ -893,11 +761,10 @@ mod tests {
         let orb = Orb::builder().network(NetworkConfig::lossy(1.0, 0.0, 13)).build();
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate_arc("Counter", counter()).unwrap();
-        let policy = RetryPolicy::new(64).with_base_backoff(Duration::from_millis(10));
-        let deadline = Some(Duration::from_millis(25));
-        let err = orb
-            .invoke_with_policy(EXTERNAL_CALLER, &obj, Request::new("hit"), &policy, deadline)
-            .unwrap_err();
+        let policy = RetryPolicy::new(64)
+            .with_base_backoff(Duration::from_millis(10))
+            .with_deadline(Duration::from_millis(25));
+        let err = orb.invoke(EXTERNAL_CALLER, &obj, Request::new("hit"), &policy).unwrap_err();
         assert!(matches!(err, OrbError::DeadlineExceeded { .. }), "{err:?}");
         assert!(orb.clock().now() <= Duration::from_millis(25));
     }
@@ -909,9 +776,12 @@ mod tests {
         let b = orb.add_node("b").unwrap();
         let obj = b.activate_arc("Counter", counter()).unwrap();
         orb.network().partition(&[&["a"], &["b"]]);
-        assert!(matches!(a.invoke(&obj, Request::new("hit")), Err(OrbError::Partitioned { .. })));
+        assert!(matches!(
+            orb.invoke(a.name(), &obj, Request::new("hit"), &RetryPolicy::none()),
+            Err(OrbError::Partitioned { .. })
+        ));
         orb.network().heal();
-        assert!(a.invoke(&obj, Request::new("hit")).is_ok());
+        assert!(orb.invoke(a.name(), &obj, Request::new("hit"), &RetryPolicy::none()).is_ok());
     }
 
     #[test]
@@ -943,7 +813,7 @@ mod tests {
                 Ok(req.contexts().get("tags").cloned().unwrap_or(Value::Null))
             })
             .unwrap();
-        let reply = orb.invoke(&obj, Request::new("x")).unwrap();
+        let reply = call(&orb, &obj, Request::new("x")).unwrap();
         assert_eq!(reply.result.as_str(), Some("ab"));
 
         struct Nope;
@@ -956,10 +826,7 @@ mod tests {
             }
         }
         orb.add_client_interceptor(Arc::new(Nope));
-        assert!(matches!(
-            orb.invoke(&obj, Request::new("x")),
-            Err(OrbError::InterceptorVeto(_))
-        ));
+        assert!(matches!(call(&orb, &obj, Request::new("x")), Err(OrbError::InterceptorVeto(_))));
     }
 
     #[test]
@@ -982,10 +849,36 @@ mod tests {
         orb.add_server_interceptor(Arc::new(Require));
         let node = orb.add_node("n").unwrap();
         let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
-        assert!(orb.invoke(&obj, Request::new("x")).is_err());
+        assert!(call(&orb, &obj, Request::new("x")).is_err());
         let mut req = Request::new("x");
         req.contexts_mut().set("token", Value::Bool(true));
-        assert!(orb.invoke(&obj, req).is_ok());
+        assert!(call(&orb, &obj, req).is_ok());
+    }
+
+    #[test]
+    fn server_veto_unwinds_the_interceptors_that_ran() {
+        use crate::interceptor::ServerRequestInterceptor;
+        struct Refuse;
+        impl ServerRequestInterceptor for Refuse {
+            fn name(&self) -> &str {
+                "refuse"
+            }
+            fn receive_request(&self, _request: &Request) -> Result<(), OrbError> {
+                Err(OrbError::Application("not today".into()))
+            }
+        }
+        let telemetry = telemetry::Telemetry::new();
+        let orb = Orb::builder().telemetry(telemetry.clone()).build();
+        orb.add_server_interceptor(Arc::new(Refuse));
+        let node = orb.add_node("srv").unwrap();
+        let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
+        let err = call(&orb, &obj, Request::new("ping")).unwrap_err();
+        assert!(matches!(err, OrbError::InterceptorVeto(_)), "{err:?}");
+        // The span server interceptor ran before the veto: its `serve:`
+        // span must be closed and off this thread's ambient stack.
+        let tree = telemetry.span_tree();
+        assert!(tree.verify().is_empty(), "{:?}", tree.verify());
+        assert!(telemetry.current().is_none(), "serve span leaked onto the caller's thread");
     }
 
     #[test]
@@ -994,7 +887,7 @@ mod tests {
         let orb = Orb::builder().telemetry(telemetry.clone()).build();
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
-        orb.invoke(&obj, Request::new("ping")).unwrap();
+        call(&orb, &obj, Request::new("ping")).unwrap();
         let tree = telemetry.span_tree();
         assert!(tree.verify().is_empty(), "{:?}", tree.verify());
         let call = tree.find("call:ping").expect("client span");
@@ -1013,14 +906,7 @@ mod tests {
         orb.network().install_script(FaultScript::new().drop_nth(0));
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
-        orb.invoke_with_policy(
-            EXTERNAL_CALLER,
-            &obj,
-            Request::new("x"),
-            &RetryPolicy::immediate(3),
-            None,
-        )
-        .unwrap();
+        orb.invoke(EXTERNAL_CALLER, &obj, Request::new("x"), &RetryPolicy::immediate(3)).unwrap();
         let tree = telemetry.span_tree();
         assert!(tree.verify().is_empty(), "{:?}", tree.verify());
         let attempts: Vec<_> =
@@ -1043,7 +929,7 @@ mod tests {
         let orb = Orb::builder().telemetry(telemetry.clone()).build();
         let node = orb.add_node("srv").unwrap();
         let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
-        orb.invoke(&obj, Request::new("ping")).unwrap();
+        call(&orb, &obj, Request::new("ping")).unwrap();
         assert_eq!(telemetry.span_count(), 0);
     }
 
@@ -1061,7 +947,7 @@ mod tests {
         let a = orb.add_node("a").unwrap();
         let b = orb.add_node("b").unwrap();
         let obj = b.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
-        a.invoke(&obj, Request::new("ping")).unwrap();
+        orb.invoke(a.name(), &obj, Request::new("ping"), &RetryPolicy::none()).unwrap();
 
         // Four wire events: a sends, b receives, b sends the reply, a
         // receives it — two matched edges, each advancing the clock.
@@ -1095,7 +981,7 @@ mod tests {
         let node = orb.add_node("srv").unwrap();
         let c = counter();
         let obj = node.activate_arc("Counter", c.clone()).unwrap();
-        let reply = orb.invoke(&obj, Request::new("hit")).unwrap();
+        let reply = call(&orb, &obj, Request::new("hit")).unwrap();
         assert_eq!(reply.deliveries, 2);
         // Two receives of the one send (same token), two reply sends of
         // which only the first matched the caller's receive.
@@ -1118,10 +1004,10 @@ mod tests {
                 Ok(Value::Null)
             })
             .unwrap();
-        // Plain invoke (no policy) now stamps too: dedup-addressable
+        // A plain single call stamps too: dedup-addressable
         // everywhere.
-        orb.invoke(&obj, Request::new("x")).unwrap();
-        orb.invoke(&obj, Request::new("x")).unwrap();
+        call(&orb, &obj, Request::new("x")).unwrap();
+        call(&orb, &obj, Request::new("x")).unwrap();
         let seen = seen.lock();
         assert!(seen[0].as_deref().unwrap().starts_with(EXTERNAL_CALLER));
         assert_ne!(seen[0], seen[1], "distinct logical calls get distinct ids");
@@ -1133,73 +1019,5 @@ mod tests {
         let orb2 = orb.clone();
         orb.add_node("n").unwrap();
         assert!(orb2.node("n").is_ok());
-    }
-}
-
-#[cfg(test)]
-mod oneway_tests {
-    use super::*;
-    use crate::value::Value;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn oneway_executes_without_a_reply_leg() {
-        let orb = Orb::new();
-        let node = orb.add_node("server").unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let hits2 = Arc::clone(&hits);
-        let obj = node
-            .activate("Notify", move |_r: &Request| {
-                hits2.fetch_add(1, Ordering::SeqCst);
-                Ok(Value::Null)
-            })
-            .unwrap();
-        assert!(orb.invoke_oneway(EXTERNAL_CALLER, &obj, Request::new("fire")));
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        // Exactly one network message: the request leg only.
-        assert_eq!(orb.network().stats().sent, 1);
-    }
-
-    #[test]
-    fn oneway_reports_undeliverable_requests() {
-        let orb = Orb::builder().network(NetworkConfig::lossy(1.0, 0.0, 3)).build();
-        let node = orb.add_node("server").unwrap();
-        let obj = node.activate("N", |_r: &Request| Ok(Value::Null)).unwrap();
-        assert!(!orb.invoke_oneway(EXTERNAL_CALLER, &obj, Request::new("fire")));
-
-        let orb2 = Orb::new();
-        let node2 = orb2.add_node("server").unwrap();
-        let obj2 = node2.activate("N", |_r: &Request| Ok(Value::Null)).unwrap();
-        orb2.network().partition(&[&["server"], &["island"]]);
-        assert!(!orb2.invoke_from_oneway_helper(&obj2));
-        // Unknown objects are also reported.
-        node2.deactivate(&obj2);
-        orb2.network().heal();
-        assert!(!orb2.invoke_oneway(EXTERNAL_CALLER, &obj2, Request::new("fire")));
-    }
-
-    #[test]
-    fn oneway_duplication_runs_servant_twice() {
-        let orb = Orb::builder().network(NetworkConfig::lossy(0.0, 1.0, 4)).build();
-        let node = orb.add_node("server").unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let hits2 = Arc::clone(&hits);
-        let obj = node
-            .activate("N", move |_r: &Request| {
-                hits2.fetch_add(1, Ordering::SeqCst);
-                Ok(Value::Null)
-            })
-            .unwrap();
-        assert!(orb.invoke_oneway(EXTERNAL_CALLER, &obj, Request::new("fire")));
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-    }
-}
-
-#[cfg(test)]
-impl Orb {
-    /// Test helper: a oneway from an isolated partition.
-    fn invoke_from_oneway_helper(&self, obj: &ObjectRef) -> bool {
-        self.invoke_oneway("island", obj, Request::new("fire"))
     }
 }

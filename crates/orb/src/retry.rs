@@ -1,11 +1,12 @@
 //! Per-request retry policies: bounded attempts, exponential backoff with
-//! deterministic jitter, and per-call deadlines.
+//! deterministic jitter, and an optional absolute deadline.
 //!
 //! The paper's Signal delivery is *at-least-once* (§3.4); this module is the
-//! runtime half of that contract. A [`RetryPolicy`] re-issues a request after
-//! retryable transport failures ([`OrbError::is_retryable`]), waiting an
-//! exponentially growing backoff between attempts. Three properties keep the
-//! simulation harness sound:
+//! runtime half of that contract. Every [`crate::Orb::invoke`] runs under a
+//! [`RetryPolicy`]; [`RetryPolicy::none`] is the plain single call. A policy
+//! re-issues a request after retryable transport failures
+//! ([`OrbError::is_retryable`]), waiting an exponentially growing backoff
+//! between attempts. Three properties keep the simulation harness sound:
 //!
 //! 1. **Determinism** — backoff jitter is *derived*, not drawn: an FNV-1a
 //!    hash of the request's delivery id and the attempt number. Two runs of
@@ -18,10 +19,10 @@
 //!    the retry layer enabled is byte-identical to one without it.
 //!
 //! Deadlines compose with `Activity::set_timeout` in the activity service:
-//! the activity's absolute virtual-time deadline is passed down as the
-//! per-call deadline, so a retry loop can never outlive the activity. A
-//! deadline that passes *mid-backoff* yields [`OrbError::DeadlineExceeded`]
-//! without starting another attempt.
+//! the activity's absolute virtual-time deadline is set on the policy
+//! ([`RetryPolicy::with_deadline`]), so a retry loop can never outlive the
+//! activity. A deadline that passes *mid-backoff* yields
+//! [`OrbError::DeadlineExceeded`] without starting another attempt.
 
 use std::time::Duration;
 
@@ -45,13 +46,14 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 /// How a single logical request is retried across transport failures.
 ///
 /// Construction is builder-style; [`RetryPolicy::default`] gives 4 attempts
-/// with a 1 ms base backoff doubling up to 1 s.
+/// with a 1 ms base backoff doubling up to 1 s, and no deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
     base_backoff: Duration,
     max_backoff: Duration,
     jitter: bool,
+    deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -61,6 +63,7 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_secs(1),
             jitter: true,
+            deadline: None,
         }
     }
 }
@@ -79,15 +82,16 @@ impl RetryPolicy {
         Self::new(1)
     }
 
-    /// `max_attempts` back-to-back attempts with **zero** backoff — the
-    /// legacy `invoke_at_least_once` loop, expressed as a policy. Performs no
-    /// clock advances at all, preserving byte-identical virtual-time traces.
+    /// `max_attempts` back-to-back attempts with **zero** backoff. Performs
+    /// no clock advances at all, so virtual time moves only with the
+    /// network's own latency.
     pub fn immediate(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
             jitter: false,
+            deadline: None,
         }
     }
 
@@ -109,6 +113,16 @@ impl RetryPolicy {
     #[must_use]
     pub fn without_jitter(mut self) -> Self {
         self.jitter = false;
+        self
+    }
+
+    /// Bound the whole call, backoff waits included, by an **absolute**
+    /// virtual time (same epoch as the ORB's clock) — typically the owning
+    /// activity's `Activity::deadline`, so retry can never outlive the
+    /// activity's own timeout.
+    #[must_use]
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 
@@ -145,9 +159,8 @@ impl RetryPolicy {
 
     /// Drive `attempt` under this policy: retryable errors are retried with
     /// backoff on the virtual clock; non-retryable errors return immediately.
-    /// `deadline` is an **absolute** virtual time (same epoch as `clock`):
-    /// once it passes — including mid-backoff — no further attempt starts and
-    /// [`OrbError::DeadlineExceeded`] is returned.
+    /// Once the policy's deadline passes — including mid-backoff — no further
+    /// attempt starts and [`OrbError::DeadlineExceeded`] is returned.
     ///
     /// # Errors
     ///
@@ -157,11 +170,11 @@ impl RetryPolicy {
     pub fn run<T>(
         &self,
         clock: &SimClock,
-        deadline: Option<Duration>,
         operation: &str,
         delivery_id: &str,
         mut attempt: impl FnMut(u32) -> Result<T, OrbError>,
     ) -> Result<T, OrbError> {
+        let deadline = self.deadline;
         let expired = |d: Duration| clock.now() > d;
         let mut last_err: Option<OrbError> = None;
         for n in 0..self.max_attempts {
@@ -206,7 +219,7 @@ mod tests {
     fn first_attempt_success_leaves_the_clock_untouched() {
         let clock = SimClock::new();
         let policy = RetryPolicy::default();
-        let result = policy.run(&clock, None, "op", "id-1", |_n| Ok(7u32));
+        let result = policy.run(&clock, "op", "id-1", |_n| Ok(7u32));
         assert_eq!(result.unwrap(), 7);
         assert_eq!(clock.now(), Duration::ZERO, "retry layer must be invisible when healthy");
     }
@@ -216,7 +229,7 @@ mod tests {
         let clock = SimClock::new();
         let policy = RetryPolicy::new(4).without_jitter();
         let mut attempts = 0;
-        let result = policy.run(&clock, None, "op", "id", |n| {
+        let result = policy.run(&clock, "op", "id", |n| {
             attempts += 1;
             if n < 2 {
                 Err(timeout())
@@ -236,7 +249,7 @@ mod tests {
         let policy = RetryPolicy::new(5);
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, None, "op", "id", |_n| {
+            .run::<()>(&clock, "op", "id", |_n| {
                 attempts += 1;
                 Err(OrbError::Application("boom".into()))
             })
@@ -252,7 +265,7 @@ mod tests {
         let policy = RetryPolicy::immediate(3);
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, None, "op", "id", |_n| {
+            .run::<()>(&clock, "op", "id", |_n| {
                 attempts += 1;
                 Err(OrbError::Partitioned { from: "a".into(), to: "b".into() })
             })
@@ -301,11 +314,11 @@ mod tests {
         // Backoff (100ms) overshoots the 50ms deadline after one failure.
         let policy = RetryPolicy::new(5)
             .with_base_backoff(Duration::from_millis(100))
-            .without_jitter();
-        let deadline = Some(Duration::from_millis(50));
+            .without_jitter()
+            .with_deadline(Duration::from_millis(50));
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, deadline, "op", "id", |_n| {
+            .run::<()>(&clock, "op", "id", |_n| {
                 attempts += 1;
                 Err(timeout())
             })
@@ -319,10 +332,10 @@ mod tests {
     fn expired_deadline_prevents_even_the_first_attempt() {
         let clock = SimClock::new();
         clock.advance(Duration::from_secs(10));
-        let policy = RetryPolicy::default();
+        let policy = RetryPolicy::default().with_deadline(Duration::from_secs(1));
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, Some(Duration::from_secs(1)), "op", "id", |_n| {
+            .run::<()>(&clock, "op", "id", |_n| {
                 attempts += 1;
                 Ok(())
             })
@@ -340,7 +353,8 @@ mod tests {
             .without_jitter();
         let deadline = Duration::from_millis(10);
         let err = policy
-            .run::<()>(&clock, Some(deadline), "op", "id", |_n| Err(timeout()))
+            .with_deadline(deadline)
+            .run::<()>(&clock, "op", "id", |_n| Err(timeout()))
             .unwrap_err();
         assert!(matches!(err, OrbError::DeadlineExceeded { .. }));
         assert!(
@@ -355,9 +369,10 @@ mod tests {
         let clock = SimClock::new();
         let policy = RetryPolicy::new(3)
             .with_base_backoff(Duration::from_millis(1))
-            .without_jitter();
+            .without_jitter()
+            .with_deadline(Duration::from_secs(1));
         let mut attempts = 0;
-        let result = policy.run(&clock, Some(Duration::from_secs(1)), "op", "id", |n| {
+        let result = policy.run(&clock, "op", "id", |n| {
             attempts += 1;
             if n == 0 {
                 Err(timeout())

@@ -201,11 +201,9 @@ pub type CoordinatorLocator = Arc<dyn Fn(&str) -> Option<ObjectRef> + Send + Syn
 /// How in-doubt resolution paces itself.
 #[derive(Debug, Clone)]
 pub struct ResolutionConfig {
-    /// Retry policy each interrogation runs under.
+    /// Retry policy each interrogation runs under; its deadline, if set
+    /// ([`RetryPolicy::with_deadline`]), bounds every interrogation call.
     pub policy: RetryPolicy,
-    /// Absolute virtual-time deadline handed to every interrogation call
-    /// (`None` = only the retry budget bounds it).
-    pub deadline: Option<Duration>,
     /// Absolute virtual time past which an unresolvable transaction is
     /// escalated to a recorded heuristic rollback instead of staying in
     /// doubt.
@@ -216,7 +214,7 @@ impl ResolutionConfig {
     /// Resolution under `policy`, escalating to a heuristic only after the
     /// virtual clock passes `heuristic_deadline`.
     pub fn new(policy: RetryPolicy, heuristic_deadline: Duration) -> Self {
-        ResolutionConfig { policy, deadline: None, heuristic_deadline }
+        ResolutionConfig { policy, heuristic_deadline }
     }
 }
 
@@ -454,8 +452,7 @@ impl RecoverableResource {
                 Some(object) => {
                     let request = Request::new("replay_completion")
                         .with_arg("tx", txid_to_value(&tx));
-                    match orb.invoke_with_policy(from, &object, request, &config.policy, config.deadline)
-                    {
+                    match orb.invoke(from, &object, request, &config.policy) {
                         Ok(reply) => reply
                             .result
                             .as_str()
@@ -635,7 +632,7 @@ mod tests {
         let ask = || {
             let request =
                 Request::new("replay_completion").with_arg("tx", txid_to_value(&tx));
-            orb.invoke_from("participant", &object, request).unwrap().result
+            orb.invoke("participant", &object, request, &RetryPolicy::none()).unwrap().result
         };
         assert_eq!(ask(), Value::from("committed"));
         assert_eq!(ask(), Value::from("committed"), "redelivery changes nothing");

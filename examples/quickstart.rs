@@ -11,7 +11,8 @@ use std::sync::Arc;
 use activity_service::{
     ActivityManager, ActivityService, BroadcastSignalSet, FnAction, Outcome, Signal, UserActivity,
 };
-use orb::{Orb, Request, Servant, Value};
+use orb::node::EXTERNAL_CALLER;
+use orb::{Orb, Request, RetryPolicy, Servant, Value};
 
 /// A trivial remote service so the example exercises real invocations.
 struct QuoteService;
@@ -67,7 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Application work: a remote call made *inside* the activity — the
     // context travels without the application lifting a finger.
     let svc = orb.registry().resolve("services/quotes")?;
-    let reply = orb.invoke(&svc, Request::new("quote").with_arg("item", Value::from("widget")))?;
+    let request = Request::new("quote").with_arg("item", Value::from("widget"));
+    let reply = orb.invoke(EXTERNAL_CALLER, &svc, request, &RetryPolicy::none())?;
     println!("received quote: {}", reply.result);
 
     // Completion drives the signal set; the outcome is the set's collation.

@@ -20,6 +20,7 @@ use activity_service::{
     recover_activities, ActionFactories, ActivityService, BroadcastSignalSet, FnAction, Outcome,
     Signal, SignalSetFactories,
 };
+use orb::node::EXTERNAL_CALLER;
 use orb::{Introspection, NetworkConfig, Orb, Request, RetryPolicy, SimClock, Value};
 use ots::{
     recovery::{CoordinatorLocator, RECOVERY_COORDINATOR_INTERFACE},
@@ -191,7 +192,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         surface.register("audit", move || res.introspect());
     }
 
-    let before = orb.invoke(&intro_ref, Request::new("snapshot"))?.result;
+    let before = orb
+        .invoke(EXTERNAL_CALLER, &intro_ref, Request::new("snapshot"), &RetryPolicy::none())?
+        .result;
     println!("  before resolve_in_doubt:");
     for line in before.as_str().unwrap_or_default().lines() {
         println!("  {line}");
@@ -208,7 +211,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.rolled_back.len(),
         report.unresolved.len()
     );
-    let after = orb.invoke(&intro_ref, Request::new("snapshot"))?.result;
+    let after = orb
+        .invoke(EXTERNAL_CALLER, &intro_ref, Request::new("snapshot"), &RetryPolicy::none())?
+        .result;
     println!("  after resolve_in_doubt:");
     for line in after.as_str().unwrap_or_default().lines() {
         println!("  {line}");

@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use activity_service::{ActivityService, BroadcastSignalSet, FnAction, Outcome, Signal};
-use orb::{Orb, Request, Value};
+use orb::node::EXTERNAL_CALLER;
+use orb::{Orb, Request, RetryPolicy, Value};
 use ots::{TransactionFactory, TransactionalKv, TxError};
 
 #[test]
@@ -27,7 +28,8 @@ fn parallel_invocations_through_one_orb() {
             let obj = obj.clone();
             s.spawn(move || {
                 for _ in 0..200 {
-                    orb.invoke(&obj, Request::new("op")).unwrap();
+                    orb.invoke(EXTERNAL_CALLER, &obj, Request::new("op"), &RetryPolicy::none())
+                        .unwrap();
                 }
             });
         }

@@ -9,7 +9,7 @@ use activity_service::{
     ActionServant, Activity, ActivityService, CompletionStatus, RemoteActionProxy, TraceEvent,
     TraceLog,
 };
-use orb::{NetworkConfig, Orb, Value};
+use orb::{NetworkConfig, Orb, RetryPolicy, Value};
 use ots::{Resource, TransactionalKv, TxId};
 use tx_models::common::{OUT_COMMITTED, OUT_ROLLED_BACK, SIG_COMMIT, SIG_PREPARE};
 use tx_models::{ResourceAction, TwoPhaseCommitSignalSet, TWO_PC_SET};
@@ -19,7 +19,7 @@ use tx_models::{ResourceAction, TwoPhaseCommitSignalSet, TWO_PC_SET};
 fn distributed_2pc(
     network: NetworkConfig,
 ) -> (Orb, Activity, Vec<Arc<TransactionalKv>>, TxId, TraceLog) {
-    let orb = Orb::builder().network(network).retry_budget(128).build();
+    let orb = Orb::builder().network(network).build();
     let service = ActivityService::new();
     service.attach_to_orb(&orb);
     orb.add_node("coordinator").unwrap();
@@ -50,7 +50,8 @@ fn distributed_2pc(
             orb.clone(),
             "coordinator",
             object,
-        );
+        )
+        .with_policy(RetryPolicy::immediate(129));
         activity.coordinator().register_action(TWO_PC_SET, Arc::new(proxy) as _);
         stores.push(store);
     }

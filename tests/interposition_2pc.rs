@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use activity_service::{interpose, Activity};
-use orb::{NetworkConfig, Orb, SimClock, Value};
+use orb::{NetworkConfig, Orb, RetryPolicy, SimClock, Value};
 use ots::{Resource, TransactionalKv, TxId};
 use tx_models::{ResourceAction, TwoPhaseCommitSignalSet, TWO_PC_SET};
 
@@ -35,6 +35,7 @@ fn build(
                     orb,
                     &node,
                     format!("{org_name}-relay"),
+                    RetryPolicy::immediate(9),
                 )
                 .unwrap(),
             )
@@ -123,8 +124,15 @@ fn subordinate_abort_vote_aborts_the_whole_transaction() {
     activity.set_completion_signal_set(TWO_PC_SET);
     let tx = TxId::top_level(1);
 
-    let relay =
-        interpose(activity.coordinator(), TWO_PC_SET, &orb, &node, "org-a-relay").unwrap();
+    let relay = interpose(
+        activity.coordinator(),
+        TWO_PC_SET,
+        &orb,
+        &node,
+        "org-a-relay",
+        RetryPolicy::immediate(9),
+    )
+    .unwrap();
     let healthy = Arc::new(TransactionalKv::new("healthy"));
     healthy.write(&tx, "k", Value::from(1i64)).unwrap();
     relay.register_local(Arc::new(ResourceAction::new(
@@ -170,8 +178,15 @@ fn interposed_spans_continue_the_superior_trace() {
     activity.set_completion_signal_set(TWO_PC_SET);
     activity.coordinator().set_telemetry(telemetry.clone());
     let tx = TxId::top_level(1);
-    let relay =
-        interpose(activity.coordinator(), TWO_PC_SET, &orb, &node, "org-a-relay").unwrap();
+    let relay = interpose(
+        activity.coordinator(),
+        TWO_PC_SET,
+        &orb,
+        &node,
+        "org-a-relay",
+        RetryPolicy::immediate(9),
+    )
+    .unwrap();
     let store = Arc::new(TransactionalKv::new("store"));
     store.write(&tx, "k", Value::from(9i64)).unwrap();
     relay.register_local(Arc::new(ResourceAction::new(
@@ -216,7 +231,6 @@ fn interposed_spans_continue_the_superior_trace() {
 fn interposition_survives_a_lossy_network() {
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.25, 0.25, 777))
-        .retry_budget(256)
         .build();
     orb.add_node("superior").unwrap();
     let node = orb.add_node("org-a").unwrap();
@@ -227,8 +241,15 @@ fn interposition_survives_a_lossy_network() {
         .unwrap();
     activity.set_completion_signal_set(TWO_PC_SET);
     let tx = TxId::top_level(1);
-    let relay =
-        interpose(activity.coordinator(), TWO_PC_SET, &orb, &node, "org-a-relay").unwrap();
+    let relay = interpose(
+        activity.coordinator(),
+        TWO_PC_SET,
+        &orb,
+        &node,
+        "org-a-relay",
+        RetryPolicy::immediate(257),
+    )
+    .unwrap();
     let store = Arc::new(TransactionalKv::new("store"));
     store.write(&tx, "k", Value::from(5i64)).unwrap();
     relay.register_local(Arc::new(ResourceAction::new(

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orb::{
-    DetectorConfig, FailureDetector, HealthStatus, Introspection, NetworkConfig, Orb,
-    OrbError, Request, SimClock, Value,
+    DetectorConfig, FailureDetector, HealthStatus, Introspection, NetworkConfig, Orb, OrbError,
+    Request, RetryPolicy, SimClock, Value,
 };
 
 fn query(probe: &str) -> Request {
@@ -27,7 +27,9 @@ fn query_inside_an_open_partition_window_is_a_structured_error() {
     surface.register("status", || "alive\n".to_owned());
 
     // Sanity: the surface answers over the wire before the window opens.
-    let reply = ops.invoke(&object, query("status")).expect("pre-partition query");
+    let reply = orb
+        .invoke(ops.name(), &object, query("status"), &RetryPolicy::none())
+        .expect("pre-partition query");
     assert_eq!(reply.result.as_str(), Some("alive\n"));
 
     // Operator-side detector, wired like a real deployment: transitions
@@ -49,7 +51,7 @@ fn query_inside_an_open_partition_window_is_a_structured_error() {
     // partition error; feed each failure to the detector as an operator's
     // probe loop would.
     for _ in 0..2 {
-        match ops.invoke(&object, query("status")) {
+        match orb.invoke(ops.name(), &object, query("status"), &RetryPolicy::none()) {
             Err(OrbError::Partitioned { from, to }) => {
                 assert_eq!((from.as_str(), to.as_str()), ("ops", "target"));
                 detector.record_failure("target");
@@ -85,7 +87,9 @@ fn query_inside_an_open_partition_window_is_a_structured_error() {
     // Heal by letting the window lapse: the same query answers again and
     // the detector rehabilitates the node.
     clock.advance(window);
-    let reply = ops.invoke(&object, query("status")).expect("post-heal query");
+    let reply = orb
+        .invoke(ops.name(), &object, query("status"), &RetryPolicy::none())
+        .expect("post-heal query");
     assert_eq!(reply.result.as_str(), Some("alive\n"));
     detector.record_success("target");
     assert_eq!(detector.status("target"), HealthStatus::Healthy);

@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use activity_service::{ActivityService, CompletionStatus, FnAction, Outcome, Signal};
-use orb::{ObjectId, ObjectRef, Orb, Request, Value};
+use orb::node::EXTERNAL_CALLER;
+use orb::{ObjectId, ObjectRef, Orb, Request, RetryPolicy, Value};
 use ots::{TransactionFactory, TransactionalKv};
 use parking_lot::Mutex;
 
@@ -39,7 +40,10 @@ fn name_server_updates_survive_application_abort() {
 
     node.deactivate(&primary);
     let resolved = orb.registry().resolve("service/primary").unwrap();
-    assert!(orb.invoke(&resolved, Request::new("ping")).is_err(), "primary is gone");
+    assert!(
+        orb.invoke(EXTERNAL_CALLER, &resolved, Request::new("ping"), &RetryPolicy::none()).is_err(),
+        "primary is gone"
+    );
     // Update the naming database: point the well-known name at the backup.
     orb.registry().rebind("service/primary", backup.clone());
 
@@ -51,7 +55,8 @@ fn name_server_updates_survive_application_abort() {
     assert_eq!(app_store.read_committed("progress"), None);
     let resolved = orb.registry().resolve("service/primary").unwrap();
     assert_eq!(resolved, backup);
-    let reply = orb.invoke(&resolved, Request::new("ping")).unwrap();
+    let reply =
+        orb.invoke(EXTERNAL_CALLER, &resolved, Request::new("ping"), &RetryPolicy::none()).unwrap();
     assert_eq!(reply.result.as_str(), Some("backup"));
 }
 
@@ -148,5 +153,7 @@ fn naming_service_concurrent_rebinds() {
     // And stale references are detectable: a deactivated object fails fast.
     node.deactivate(&objects[3]);
     let probe = ObjectRef::new(ObjectId::new(end.id().node_seq(), objects[3].id().object_seq()), "host", "Svc");
-    assert!(orb.invoke(&probe, Request::new("ping")).is_err());
+    assert!(orb
+        .invoke(EXTERNAL_CALLER, &probe, Request::new("ping"), &RetryPolicy::none())
+        .is_err());
 }

@@ -34,7 +34,6 @@ fn run_instrumented_workflow(schedule: &FaultSchedule) -> (Telemetry, Orb, Strin
     let orb = Orb::builder()
         .network(NetworkConfig::lossy(0.0, 0.0, 0x5EED_0001))
         .clock(clock)
-        .retry_budget(64)
         .telemetry(telemetry.clone())
         .build();
     orb.add_node("coordinator").expect("coordinator node");
@@ -141,14 +140,8 @@ fn detector_transition_counts_match_the_injected_fault_run() {
     let node = orb.add_node("srv").unwrap();
     let obj = node.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();
 
-    orb.invoke_with_policy(
-        orb::node::EXTERNAL_CALLER,
-        &obj,
-        Request::new("work"),
-        &RetryPolicy::immediate(8),
-        None,
-    )
-    .expect("sixth attempt gets through");
+    orb.invoke(orb::node::EXTERNAL_CALLER, &obj, Request::new("work"), &RetryPolicy::immediate(8))
+        .expect("sixth attempt gets through");
 
     let dropped = orb.network().stats().dropped;
     assert_eq!(dropped, 5);
