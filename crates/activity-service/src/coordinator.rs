@@ -89,8 +89,11 @@ impl std::fmt::Debug for ActivityCoordinator {
 }
 
 impl ActivityCoordinator {
-    /// A coordinator for the given activity, fanning signals out across
-    /// the machine's available parallelism (see [`DispatchConfig`]).
+    /// A coordinator for the given activity under the adaptive default
+    /// [`DispatchConfig`]: each signal is delivered inline when the
+    /// process-wide estimates say that is cheaper than handing the
+    /// actions to the shared worker pool, and scattered otherwise.
+    /// Construction does no system call and spawns no thread.
     pub fn new(activity: ActivityId) -> Self {
         Self::with_dispatch(activity, DispatchConfig::default())
     }

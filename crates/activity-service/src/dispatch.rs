@@ -12,6 +12,14 @@
 //! registration order. Trace events are emitted at collation time, so a
 //! parallel run's TraceLog is byte-identical to a serial run's.
 //!
+//! **Adaptive default.** Under the default [`DispatchConfig`] each
+//! signal's batch of deliveries runs inline on the serial loop when that
+//! is estimated to be cheaper than the pool hand-off — the common case
+//! of a few in-process or virtual-network actions taking microseconds —
+//! and on the pool otherwise. The estimates (per-delivery cost and pool
+//! hand-off cost, both wall clock) are process-wide, in one
+//! [`FanOutSite`] shared by every coordinator; see `orb::pool`.
+//!
 //! **Early break.** When the SignalSet answers `RequestNext`, the serial
 //! loop stops delivering the current signal. The parallel path mirrors
 //! that at collation: it fires a [`CancelToken`] (so actions whose
@@ -32,6 +40,7 @@
 
 use std::sync::Arc;
 
+use orb::pool::FanOutSite;
 pub use orb::pool::{CancelToken, DispatchConfig, TaskOutcome, WorkerPool};
 
 use crate::action::Action;
@@ -53,21 +62,18 @@ pub(crate) fn dispatch_signal(
     mut before: impl FnMut(&Arc<dyn Action>),
     mut after: impl FnMut(Outcome) -> bool,
 ) -> bool {
-    // The serial config is the exact legacy loop; a single action gains
-    // nothing from the pool either.
-    if config.is_serial() || actions.len() <= 1 {
+    let Some(pool) = config.pool_for(&SIGNAL_SITE, actions.len()) else {
+        // The exact legacy serial loop: the serial config, a single
+        // action, or a batch the adaptive default judges cheaper inline.
+        let mut batch = SIGNAL_SITE.inline();
         for action in actions {
             before(action);
-            let outcome = match action.process_signal(signal) {
-                Ok(outcome) => outcome,
-                Err(e) => Outcome::from_error(e.message()),
-            };
-            if after(outcome) {
+            if after(batch.time(|| deliver(action.as_ref(), signal))) {
                 return true;
             }
         }
         return false;
-    }
+    };
 
     let cancel = CancelToken::new();
     let tasks: Vec<Box<dyn FnOnce() -> Outcome + Send>> = actions
@@ -75,13 +81,11 @@ pub(crate) fn dispatch_signal(
         .map(|action| {
             let action = Arc::clone(action);
             let signal = signal.clone();
-            Box::new(move || match action.process_signal(&signal) {
-                Ok(outcome) => outcome,
-                Err(e) => Outcome::from_error(e.message()),
-            }) as Box<dyn FnOnce() -> Outcome + Send>
+            Box::new(move || deliver(action.as_ref(), &signal))
+                as Box<dyn FnOnce() -> Outcome + Send>
         })
         .collect();
-    let mut results = WorkerPool::shared(config.workers()).scatter(tasks, &cancel);
+    let mut results = pool.scatter(&SIGNAL_SITE, tasks, &cancel);
 
     for action in actions {
         before(action);
@@ -100,6 +104,19 @@ pub(crate) fn dispatch_signal(
         }
     }
     false
+}
+
+/// Cost estimates of signal delivery, shared by every coordinator in the
+/// process.
+static SIGNAL_SITE: FanOutSite = FanOutSite::new();
+
+/// Transmit `signal` to one action; an action error becomes an `"error"`
+/// outcome.
+fn deliver(action: &dyn Action, signal: &Signal) -> Outcome {
+    match action.process_signal(signal) {
+        Ok(outcome) => outcome,
+        Err(e) => Outcome::from_error(e.message()),
+    }
 }
 
 #[cfg(test)]

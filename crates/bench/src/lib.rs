@@ -137,14 +137,15 @@ pub fn fig5_dispatch(actions: usize) -> u64 {
 
 /// Fig. 5 (parallel dispatch) workload: one broadcast to `actions`
 /// registered actions, each simulating a remote invocation that takes
-/// `work_us` microseconds of latency, fanned out across `workers`
-/// (`workers == 1` is the exact legacy serial loop). Returns the number
-/// of responses collated.
-pub fn fig5_dispatch_configured(actions: usize, workers: usize, work_us: u64) -> u64 {
+/// `work_us` microseconds of latency, fanned out per `dispatch`. Returns
+/// the number of responses collated.
+pub fn fig5_dispatch_configured(
+    actions: usize,
+    dispatch: activity_service::DispatchConfig,
+    work_us: u64,
+) -> u64 {
     let activity = Activity::new_root("dispatch", SimClock::new());
-    activity
-        .coordinator()
-        .set_dispatch_config(activity_service::DispatchConfig::with_workers(workers));
+    activity.coordinator().set_dispatch_config(dispatch);
     activity
         .coordinator()
         .add_signal_set(Box::new(activity_service::BroadcastSignalSet::new(
@@ -453,10 +454,13 @@ pub fn slow_resource(name: &str, work_us: u64) -> Arc<dyn Resource> {
 
 /// Fig. 8 (batched fan-out) workload: a native-OTS 2PC over
 /// `participants` resources whose prepare/commit each take `work_us`
-/// microseconds, with phase fan-out across `workers`.
-pub fn fig8_2pc_configured(participants: usize, workers: usize, work_us: u64) -> bool {
-    let factory =
-        TransactionFactory::new().with_dispatch(ots::DispatchConfig::with_workers(workers));
+/// microseconds, with phase fan-out per `dispatch`.
+pub fn fig8_2pc_configured(
+    participants: usize,
+    dispatch: ots::DispatchConfig,
+    work_us: u64,
+) -> bool {
+    let factory = TransactionFactory::new().with_dispatch(dispatch);
     let control = factory.create().expect("create");
     for i in 0..participants {
         control
@@ -503,6 +507,38 @@ pub fn fig8_native_2pc(participants: usize) -> bool {
         store.write(control.id(), "k", Value::from(i as i64)).expect("write");
     }
     control.terminator().commit().is_ok()
+}
+
+/// Fig. 8 with cheap participants: native-OTS commits over `participants`
+/// in-memory [`TransactionalKv`] stores, with the factory and the stores
+/// built once, outside the timed loop.
+pub struct KvCommits {
+    factory: TransactionFactory,
+    stores: Vec<Arc<TransactionalKv>>,
+}
+
+impl KvCommits {
+    /// A factory fanning out per `dispatch`, over `participants` stores.
+    pub fn new(participants: usize, dispatch: ots::DispatchConfig) -> Self {
+        KvCommits {
+            factory: TransactionFactory::new().with_dispatch(dispatch),
+            stores: (0..participants)
+                .map(|i| Arc::new(TransactionalKv::new(format!("s{i}"))))
+                .collect(),
+        }
+    }
+
+    /// One transaction writing one key in every store; true if it committed.
+    pub fn commit(&self) -> bool {
+        let control = self.factory.create().expect("create");
+        for (i, store) in self.stores.iter().enumerate() {
+            store.enlist(&control).expect("enlist");
+            store.write(control.id(), "k", Value::from(i as i64)).expect("write");
+        }
+        let committed = control.terminator().commit().is_ok();
+        self.factory.reap_completed();
+        committed
+    }
 }
 
 /// A `width × depth` layered workflow: `depth` stages of `width` parallel
@@ -756,6 +792,7 @@ pub fn noop_resource(name: &str) -> Arc<dyn Resource> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use activity_service::DispatchConfig;
 
     #[test]
     fn fig1_chained_holds_less_and_conflicts_less() {
@@ -784,12 +821,15 @@ mod tests {
 
     #[test]
     fn configured_workloads_agree_across_widths() {
-        assert_eq!(fig5_dispatch_configured(9, 1, 0), 9);
-        assert_eq!(fig5_dispatch_configured(9, 8, 0), 9);
+        assert_eq!(fig5_dispatch_configured(9, DispatchConfig::serial(), 0), 9);
+        assert_eq!(fig5_dispatch_configured(9, DispatchConfig::with_workers(8), 0), 9);
+        assert_eq!(fig5_dispatch_configured(9, DispatchConfig::default(), 0), 9);
         assert_eq!(fig5_dispatch_traced(7, true), 7);
         assert_eq!(fig5_dispatch_traced(7, false), 7);
-        assert!(fig8_2pc_configured(6, 1, 0));
-        assert!(fig8_2pc_configured(6, 8, 0));
+        assert!(fig8_2pc_configured(6, DispatchConfig::serial(), 0));
+        assert!(fig8_2pc_configured(6, DispatchConfig::with_workers(8), 0));
+        assert!(fig8_2pc_configured(6, DispatchConfig::default(), 0));
+        assert!(KvCommits::new(4, DispatchConfig::default()).commit());
     }
 
     #[test]

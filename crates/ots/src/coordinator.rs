@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use orb::choice::{clamp_choice, DeliverySequencer};
 use orb::detector::FailureDetector;
-use orb::pool::{CancelToken, DispatchConfig, TaskOutcome, WorkerPool};
+use orb::pool::{CancelToken, DispatchConfig, FanOutSite, TaskOutcome, WorkerPool};
 use orb::SimClock;
 use parking_lot::Mutex;
 use recovery_log::{FailpointSet, Wal};
@@ -45,6 +45,12 @@ use crate::resource::{Resource, SubtransactionAwareResource, Synchronization, Vo
 use crate::status::TxStatus;
 use crate::txlog;
 use crate::xid::TxId;
+
+/// Cost estimates of the participant rounds, shared by every coordinator
+/// in the process; the adaptive [`DispatchConfig`] default reads them.
+static PREPARE_SITE: FanOutSite = FanOutSite::new();
+static PHASE_TWO_SITE: FanOutSite = FanOutSite::new();
+static ROLLBACK_SITE: FanOutSite = FanOutSite::new();
 
 /// Outcome of a completed transaction, as reported to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,13 +164,14 @@ impl Coordinator {
         self.telemetry.lock().clone()
     }
 
-    /// Attach a [`DeliverySequencer`]: under serial dispatch every round of
-    /// participant deliveries (prepare, phase-two outcomes, rollback) asks
-    /// it which pending peer goes next, so a model-checking explorer owns
-    /// delivery order instead of inheriting registration order. Without one
-    /// (or under parallel dispatch, where there is no meaningful order) the
-    /// legacy registration-order loops run unchanged. Subtransactions
-    /// inherit the sequencer, like the detector.
+    /// Attach a [`DeliverySequencer`]: every round of participant deliveries
+    /// (prepare, phase-two outcomes, rollback) that runs inline — always
+    /// under serial dispatch — asks it which pending peer goes next, so a
+    /// model-checking explorer owns delivery order instead of inheriting
+    /// registration order. Explorers pin [`DispatchConfig::serial`].
+    /// Without one (or for a scattered round, where there is no meaningful
+    /// order) the legacy registration-order loops run unchanged.
+    /// Subtransactions inherit the sequencer, like the detector.
     pub fn set_sequencer(&self, sequencer: Arc<dyn DeliverySequencer>) {
         *self.sequencer.lock() = Some(sequencer);
     }
@@ -190,19 +197,17 @@ impl Coordinator {
         self.dispatch
     }
 
-    /// Apply `op` to every resource and return the results in registration
-    /// order. Under a parallel [`DispatchConfig`] the calls run concurrently
-    /// on the shared worker pool; the serial config (or a single resource)
-    /// keeps the exact legacy in-order loop. A participant panic is re-raised
-    /// here at the panicking resource's registration position.
+    /// Apply `op` to every resource concurrently on `pool` and return the
+    /// results in registration order, feeding `site`'s estimates. A
+    /// participant panic is re-raised here at the panicking resource's
+    /// registration position.
     fn fan_out<T: Send + 'static>(
         &self,
+        pool: &WorkerPool,
+        site: &FanOutSite,
         resources: &[Arc<dyn Resource>],
         op: impl Fn(&dyn Resource, &TxId) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
-        if self.dispatch.is_serial() || resources.len() <= 1 {
-            return resources.iter().map(|r| op(r.as_ref(), &self.id)).collect();
-        }
         let op = Arc::new(op);
         let tasks: Vec<Box<dyn FnOnce() -> T + Send>> = resources
             .iter()
@@ -216,9 +221,8 @@ impl Coordinator {
         // 2PC joins every result (votes before the decision, acknowledgements
         // before the completion record), so no cancellation is ever needed.
         let cancel = CancelToken::new();
-        let results = WorkerPool::shared(self.dispatch.workers()).scatter(tasks, &cancel);
         let mut collated = Vec::with_capacity(resources.len());
-        for outcome in results {
+        for outcome in pool.scatter(site, tasks, &cancel) {
             match outcome {
                 TaskOutcome::Done(value) => collated.push(value),
                 TaskOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
@@ -231,15 +235,18 @@ impl Coordinator {
     /// Deliver one serial round in [`DeliverySequencer`] order (registration
     /// order without a sequencer), returning results in **registration**
     /// order so collation is dispatch-invisible. Each delivery is reported
-    /// back to the sequencer with `clean(&result)`.
+    /// back to the sequencer with `clean(&result)`; each call is timed
+    /// into `site`.
     fn sequenced_round<T>(
         &self,
         stage: &str,
+        site: &FanOutSite,
         resources: &[Arc<dyn Resource>],
         mut op: impl FnMut(&dyn Resource) -> T,
         clean: impl Fn(&T) -> bool,
     ) -> Vec<T> {
         let sequencer = self.sequencer.lock().clone();
+        let mut batch = site.inline();
         let mut slots: Vec<Option<T>> = resources.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..resources.len()).collect();
         while !pending.is_empty() {
@@ -253,7 +260,7 @@ impl Coordinator {
             };
             let index = pending.remove(slot);
             let resource = &resources[index];
-            let result = op(resource.as_ref());
+            let result = batch.time(|| op(resource.as_ref()));
             if let Some(seq) = &sequencer {
                 seq.report(stage, resource.resource_name(), clean(&result));
             }
@@ -262,18 +269,20 @@ impl Coordinator {
         slots.into_iter().map(|slot| slot.expect("every delivery ran")).collect()
     }
 
-    /// Deliver a rollback round (sequenced when serial, scattered when
-    /// parallel) and journal each delivery's fate.
+    /// Deliver a rollback round (sequenced when inline, scattered when
+    /// pooled) and journal each delivery's fate.
     fn rollback_round(&self, resources: &[Arc<dyn Resource>]) {
-        let results: Vec<bool> = if self.dispatch.is_serial() || resources.len() <= 1 {
-            self.sequenced_round(
+        let results: Vec<bool> = match self.dispatch.pool_for(&ROLLBACK_SITE, resources.len()) {
+            None => self.sequenced_round(
                 "rollback",
+                &ROLLBACK_SITE,
                 resources,
                 |resource| resource.rollback(&self.id).is_ok(),
                 |ok| *ok,
-            )
-        } else {
-            self.fan_out(resources, |resource, id| resource.rollback(id).is_ok())
+            ),
+            Some(pool) => self.fan_out(pool, &ROLLBACK_SITE, resources, |resource, id| {
+                resource.rollback(id).is_ok()
+            }),
         };
         if let Some(journal) = self.journal.lock().clone() {
             for (resource, ok) in resources.iter().zip(results) {
@@ -597,112 +606,122 @@ impl Coordinator {
         });
         let mut prepared: Vec<Arc<dyn Resource>> = Vec::new();
         let mut voted_rollback = false;
-        if self.dispatch.is_serial() {
-            // Legacy serial phase one: stop asking for votes at the first
-            // veto — resources after the break never see `prepare`. A
-            // sequencer, when attached, picks which pending participant is
-            // asked next; without one the loop walks registration order
-            // exactly as before.
-            let journal = self.journal.lock().clone();
-            let sequencer = self.sequencer.lock().clone();
-            let mut pending: Vec<usize> = (0..resources.len()).collect();
-            while !pending.is_empty() {
-                let slot = match &sequencer {
-                    Some(seq) if pending.len() > 1 => {
-                        let labels: Vec<&str> =
-                            pending.iter().map(|i| resources[*i].resource_name()).collect();
-                        clamp_choice(seq.next_delivery("prepare", &labels), labels.len())
+        match self.dispatch.pool_for(&PREPARE_SITE, resources.len()) {
+            None => {
+                // Legacy serial phase one, also taken when the adaptive
+                // default judges the round cheaper inline: stop asking for
+                // votes at the first veto — resources after the break never
+                // see `prepare`. A sequencer, when attached, picks which
+                // pending participant is asked next; without one the loop
+                // walks registration order exactly as before.
+                let journal = self.journal.lock().clone();
+                let sequencer = self.sequencer.lock().clone();
+                let mut batch = PREPARE_SITE.inline();
+                let mut pending: Vec<usize> = (0..resources.len()).collect();
+                while !pending.is_empty() {
+                    let slot = match &sequencer {
+                        Some(seq) if pending.len() > 1 => {
+                            let labels: Vec<&str> =
+                                pending.iter().map(|i| resources[*i].resource_name()).collect();
+                            clamp_choice(seq.next_delivery("prepare", &labels), labels.len())
+                        }
+                        _ => 0,
+                    };
+                    let resource = &resources[pending.remove(slot)];
+                    let vote_started = tel.and_then(|_| self.clock.as_ref().map(SimClock::now));
+                    if let Some(journal) = &journal {
+                        journal.record(TwoPcEvent::PrepareSent {
+                            participant: resource.resource_name().to_owned(),
+                        });
                     }
-                    _ => 0,
-                };
-                let resource = &resources[pending.remove(slot)];
-                let vote_started = tel.and_then(|_| self.clock.as_ref().map(SimClock::now));
-                if let Some(journal) = &journal {
-                    journal.record(TwoPcEvent::PrepareSent {
-                        participant: resource.resource_name().to_owned(),
-                    });
-                }
-                // Per-vote child span under `prepare`: the critical-path
-                // walk reads the slowest of these as the slowest-vote
-                // annotation.
-                let vote_span = match (tel, prepare_span.as_ref()) {
-                    (Some((t, _)), Some(parent)) => Some(
-                        t.start_child(parent, &format!("vote:{}", resource.resource_name())),
-                    ),
-                    _ => None,
-                };
-                let answer = resource.prepare(&self.id);
-                if let (Some((t, _)), Some(span)) = (tel, vote_span.as_ref()) {
-                    t.end(span);
-                }
-                if let Some((t, _)) = tel {
-                    t.metrics()
-                        .observe("twopc_vote_latency_seconds", self.elapsed_since(vote_started));
-                }
-                if let Some(detector) = &detector {
-                    match &answer {
-                        Ok(_) => detector.record_success(resource.resource_name()),
-                        Err(_) => detector.record_failure(resource.resource_name()),
+                    // Per-vote child span under `prepare`: the critical-path
+                    // walk reads the slowest of these as the slowest-vote
+                    // annotation.
+                    let vote_span = match (tel, prepare_span.as_ref()) {
+                        (Some((t, _)), Some(parent)) => Some(
+                            t.start_child(parent, &format!("vote:{}", resource.resource_name())),
+                        ),
+                        _ => None,
+                    };
+                    let answer = batch.time(|| resource.prepare(&self.id));
+                    if let (Some((t, _)), Some(span)) = (tel, vote_span.as_ref()) {
+                        t.end(span);
                     }
-                }
-                if let Some(journal) = &journal {
-                    journal.record(TwoPcEvent::VoteRecorded {
-                        participant: resource.resource_name().to_owned(),
-                        vote: VoteKind::from_answer(&answer),
-                    });
-                }
-                let clean = matches!(answer, Ok(Vote::Commit) | Ok(Vote::ReadOnly));
-                if let Some(seq) = &sequencer {
-                    seq.report("prepare", resource.resource_name(), clean);
-                }
-                match answer {
-                    Ok(Vote::Commit) => prepared.push(Arc::clone(resource)),
-                    Ok(Vote::ReadOnly) => {}
-                    Ok(Vote::Rollback) | Err(_) => {
-                        voted_rollback = true;
-                        break;
+                    if let Some((t, _)) = tel {
+                        t.metrics().observe(
+                            "twopc_vote_latency_seconds",
+                            self.elapsed_since(vote_started),
+                        );
+                    }
+                    if let Some(detector) = &detector {
+                        match &answer {
+                            Ok(_) => detector.record_success(resource.resource_name()),
+                            Err(_) => detector.record_failure(resource.resource_name()),
+                        }
+                    }
+                    if let Some(journal) = &journal {
+                        journal.record(TwoPcEvent::VoteRecorded {
+                            participant: resource.resource_name().to_owned(),
+                            vote: VoteKind::from_answer(&answer),
+                        });
+                    }
+                    let clean = matches!(answer, Ok(Vote::Commit) | Ok(Vote::ReadOnly));
+                    if let Some(seq) = &sequencer {
+                        seq.report("prepare", resource.resource_name(), clean);
+                    }
+                    match answer {
+                        Ok(Vote::Commit) => prepared.push(Arc::clone(resource)),
+                        Ok(Vote::ReadOnly) => {}
+                        Ok(Vote::Rollback) | Err(_) => {
+                            voted_rollback = true;
+                            break;
+                        }
                     }
                 }
             }
-        } else {
-            let phase_started = tel.and_then(|_| self.clock.as_ref().map(SimClock::now));
-            // Parallel phase one: every vote is solicited concurrently and
-            // all are joined before the decision. Speculatively preparing a
-            // resource whose peer vetoes is safe — presumed abort means it
-            // is simply rolled back, exactly as a prepared resource is on
-            // the serial path.
-            let votes = self.fan_out(&resources, |resource, id| resource.prepare(id));
-            // Detector feeding (and journal recording) happens here at
-            // collation (registration order), not inside the scattered
-            // tasks, so suspicion counters and the journal evolve
-            // deterministically under parallel dispatch.
-            let journal = self.journal.lock().clone();
-            for (resource, vote) in resources.iter().zip(votes) {
-                if let Some(journal) = &journal {
-                    journal.record(TwoPcEvent::PrepareSent {
-                        participant: resource.resource_name().to_owned(),
-                    });
-                    journal.record(TwoPcEvent::VoteRecorded {
-                        participant: resource.resource_name().to_owned(),
-                        vote: VoteKind::from_answer(&vote),
-                    });
-                }
-                if let Some((t, _)) = tel {
-                    // Votes are joined, so per-vote latency is the phase
-                    // latency — the time this coordinator actually waited.
-                    t.metrics()
-                        .observe("twopc_vote_latency_seconds", self.elapsed_since(phase_started));
-                }
-                if let Some(detector) = &detector {
-                    match &vote {
-                        Ok(_) => detector.record_success(resource.resource_name()),
-                        Err(_) => detector.record_failure(resource.resource_name()),
+            Some(pool) => {
+                let phase_started = tel.and_then(|_| self.clock.as_ref().map(SimClock::now));
+                // Parallel phase one: every vote is solicited concurrently and
+                // all are joined before the decision. Speculatively preparing a
+                // resource whose peer vetoes is safe — presumed abort means it
+                // is simply rolled back, exactly as a prepared resource is on
+                // the serial path.
+                let votes = self
+                    .fan_out(pool, &PREPARE_SITE, &resources, |resource, id| resource.prepare(id));
+                // Detector feeding (and journal recording) happens here at
+                // collation (registration order), not inside the scattered
+                // tasks, so suspicion counters and the journal evolve
+                // deterministically under parallel dispatch.
+                let journal = self.journal.lock().clone();
+                for (resource, vote) in resources.iter().zip(votes) {
+                    if let Some(journal) = &journal {
+                        journal.record(TwoPcEvent::PrepareSent {
+                            participant: resource.resource_name().to_owned(),
+                        });
+                        journal.record(TwoPcEvent::VoteRecorded {
+                            participant: resource.resource_name().to_owned(),
+                            vote: VoteKind::from_answer(&vote),
+                        });
                     }
-                }
-                match vote {
-                    Ok(Vote::Commit) => prepared.push(Arc::clone(resource)),
-                    Ok(Vote::ReadOnly) => {}
-                    Ok(Vote::Rollback) | Err(_) => voted_rollback = true,
+                    if let Some((t, _)) = tel {
+                        // Votes are joined, so per-vote latency is the phase
+                        // latency — the time this coordinator actually waited.
+                        t.metrics().observe(
+                            "twopc_vote_latency_seconds",
+                            self.elapsed_since(phase_started),
+                        );
+                    }
+                    if let Some(detector) = &detector {
+                        match &vote {
+                            Ok(_) => detector.record_success(resource.resource_name()),
+                            Err(_) => detector.record_failure(resource.resource_name()),
+                        }
+                    }
+                    match vote {
+                        Ok(Vote::Commit) => prepared.push(Arc::clone(resource)),
+                        Ok(Vote::ReadOnly) => {}
+                        Ok(Vote::Rollback) | Err(_) => voted_rollback = true,
+                    }
                 }
             }
         }
@@ -758,31 +777,31 @@ impl Coordinator {
             t.set_attr(&span, "participants", &prepared.len().to_string());
             span
         });
-        let deliveries: Vec<Option<String>> = if self.dispatch.is_serial() || prepared.len() <= 1
-        {
-            self.sequenced_round(
-                "phase2",
-                &prepared,
-                |resource| {
-                    if let Err(e) = resource.commit(&self.id) {
+        let deliveries: Vec<Option<String>> =
+            match self.dispatch.pool_for(&PHASE_TWO_SITE, prepared.len()) {
+                None => self.sequenced_round(
+                    "phase2",
+                    &PHASE_TWO_SITE,
+                    &prepared,
+                    |resource| {
+                        if let Err(e) = resource.commit(&self.id) {
+                            Some(format!("{}: {e}", resource.resource_name()))
+                        } else {
+                            resource.forget(&self.id);
+                            None
+                        }
+                    },
+                    |heuristic| heuristic.is_none(),
+                ),
+                Some(pool) => self.fan_out(pool, &PHASE_TWO_SITE, &prepared, |resource, id| {
+                    if let Err(e) = resource.commit(id) {
                         Some(format!("{}: {e}", resource.resource_name()))
                     } else {
-                        resource.forget(&self.id);
+                        resource.forget(id);
                         None
                     }
-                },
-                |heuristic| heuristic.is_none(),
-            )
-        } else {
-            self.fan_out(&prepared, |resource, id| {
-                if let Err(e) = resource.commit(id) {
-                    Some(format!("{}: {e}", resource.resource_name()))
-                } else {
-                    resource.forget(id);
-                    None
-                }
-            })
-        };
+                }),
+            };
         if let Some(journal) = self.journal.lock().clone() {
             for (resource, heuristic) in prepared.iter().zip(&deliveries) {
                 let ok = heuristic.is_none();
@@ -917,7 +936,7 @@ mod tests {
             FailpointSet::new(),
             None,
             None,
-            DispatchConfig::default(),
+            DispatchConfig::with_workers(4),
         )
     }
 
@@ -966,7 +985,7 @@ mod tests {
             fps,
             None,
             None,
-            DispatchConfig::default(),
+            DispatchConfig::with_workers(4),
         );
         c.set_telemetry(tel.clone());
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
@@ -1030,8 +1049,8 @@ mod tests {
     fn parallel_prepare_joins_all_votes_before_abort() {
         // Under parallel fan-out every resource is asked for its vote even
         // when an earlier registrant vetoes; presumed abort then undoes the
-        // speculatively prepared peers. Pin a worker count — the default
-        // config degrades to serial on a single-core host.
+        // speculatively prepared peers. Pin a worker count — the adaptive
+        // default runs cheap rounds like this one inline.
         let c = Coordinator::new_top_level(
             TxId::top_level(1),
             None,
@@ -1244,7 +1263,7 @@ mod tests {
             FailpointSet::new(),
             None,
             None,
-            DispatchConfig::default(),
+            DispatchConfig::with_workers(4),
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1268,7 +1287,7 @@ mod tests {
             failpoints,
             None,
             None,
-            DispatchConfig::default(),
+            DispatchConfig::with_workers(4),
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1382,7 +1401,7 @@ mod tests {
         }
 
         let mut suspicions = Vec::new();
-        for dispatch in [DispatchConfig::serial(), DispatchConfig::default()] {
+        for dispatch in [DispatchConfig::serial(), DispatchConfig::with_workers(4)] {
             let clock = SimClock::new();
             let detector = FailureDetector::new(clock);
             let c = Coordinator::new_top_level(

@@ -89,8 +89,14 @@ impl TransactionFactory {
 
     /// Choose how this factory's coordinators fan participant calls out
     /// during two-phase commit: [`DispatchConfig::serial`] reproduces the
-    /// legacy one-at-a-time loops exactly; the default solicits votes and
-    /// delivers phase-two outcomes concurrently on the shared worker pool.
+    /// legacy one-at-a-time loops exactly, and
+    /// [`DispatchConfig::with_workers`] always solicits votes and delivers
+    /// outcomes concurrently on a pool of that width. The default is
+    /// adaptive: each prepare, phase-two and rollback round runs inline,
+    /// on the serial loop, when the process-wide estimates for that round
+    /// say the participants are cheaper to call in turn than to hand to
+    /// the shared worker pool (in-memory stores), and on the pool
+    /// otherwise (remote or log-forcing participants).
     #[must_use]
     pub fn with_dispatch(mut self, dispatch: DispatchConfig) -> Self {
         self.dispatch = dispatch;

@@ -52,28 +52,30 @@ fn assert_deterministic(scenario: impl Fn(&Activity) + Copy, complete: bool) {
     assert_eq!(serial.1, parallel.1, "final Outcome must be identical");
 }
 
+/// Twelve staggered actions on a broadcast set; every fifth one fails.
+fn broadcast_scenario(activity: &Activity) {
+    activity
+        .coordinator()
+        .add_signal_set(Box::new(BroadcastSignalSet::new("S", "ping", Value::Null)))
+        .unwrap();
+    for i in 0..12usize {
+        activity.coordinator().register_action(
+            "S",
+            Arc::new(FnAction::new(format!("a{i}"), move |_s: &Signal| {
+                std::thread::sleep(stagger(i, 12));
+                if i % 5 == 4 {
+                    Err(activity_service::ActionError::new(format!("a{i} failed")))
+                } else {
+                    Ok(Outcome::done())
+                }
+            })) as _,
+        );
+    }
+}
+
 #[test]
 fn broadcast_set_is_deterministic_across_pool_widths() {
-    let scenario = |activity: &Activity| {
-        activity
-            .coordinator()
-            .add_signal_set(Box::new(BroadcastSignalSet::new("S", "ping", Value::Null)))
-            .unwrap();
-        for i in 0..12usize {
-            activity.coordinator().register_action(
-                "S",
-                Arc::new(FnAction::new(format!("a{i}"), move |_s: &Signal| {
-                    std::thread::sleep(stagger(i, 12));
-                    if i % 5 == 4 {
-                        Err(activity_service::ActionError::new(format!("a{i} failed")))
-                    } else {
-                        Ok(Outcome::done())
-                    }
-                })) as _,
-            );
-        }
-    };
-    assert_deterministic(scenario, false);
+    assert_deterministic(broadcast_scenario, false);
 }
 
 struct VetoResource;
@@ -273,28 +275,51 @@ fn request_next_cancels_speculative_deliveries_without_effect_leaks() {
     assert_eq!(serial_outcome, par_outcome);
 }
 
+/// Six completed saga steps compensated (with staggered sleeps) on failure.
+fn saga_scenario(activity: &Activity) {
+    let completed = CompletedSteps::new();
+    for i in 0..6usize {
+        completed.push(format!("step{i}"));
+    }
+    activity
+        .coordinator()
+        .add_signal_set(Box::new(SagaSignalSet::new(completed)))
+        .unwrap();
+    activity.set_completion_signal_set(SAGA_SET);
+    for i in 0..6usize {
+        activity.coordinator().register_action(
+            SAGA_SET,
+            StepCompensation::new(format!("step{i}"), move || {
+                std::thread::sleep(stagger(i, 6));
+                Ok(())
+            }) as _,
+        );
+    }
+    activity.set_completion_status(CompletionStatus::Fail).unwrap();
+}
+
 #[test]
 fn saga_compensation_set_is_deterministic_across_pool_widths() {
-    let scenario = |activity: &Activity| {
-        let completed = CompletedSteps::new();
-        for i in 0..6usize {
-            completed.push(format!("step{i}"));
-        }
-        activity
-            .coordinator()
-            .add_signal_set(Box::new(SagaSignalSet::new(completed)))
-            .unwrap();
-        activity.set_completion_signal_set(SAGA_SET);
-        for i in 0..6usize {
-            activity.coordinator().register_action(
-                SAGA_SET,
-                StepCompensation::new(format!("step{i}"), move || {
-                    std::thread::sleep(stagger(i, 6));
-                    Ok(())
-                }) as _,
-            );
-        }
-        activity.set_completion_status(CompletionStatus::Fail).unwrap();
-    };
-    assert_deterministic(scenario, true);
+    assert_deterministic(saga_scenario, true);
+}
+
+/// The adaptive default must be as invisible as a fixed pool width: its
+/// first run at a cold site scatters, later runs go inline or scatter as
+/// the site's estimates say, and every run's trace and outcome equal the
+/// serial run's.
+fn assert_default_matches_serial(scenario: impl Fn(&Activity) + Copy, complete: bool) {
+    let serial = run_traced(DispatchConfig::serial(), scenario, complete);
+    for run in 0..3 {
+        let adaptive = run_traced(DispatchConfig::default(), scenario, complete);
+        assert_eq!(serial.0, adaptive.0, "run {run}: TraceLog must be byte-identical");
+        assert_eq!(serial.1, adaptive.1, "run {run}: final Outcome must be identical");
+    }
+}
+
+#[test]
+fn default_config_runs_match_serial_runs() {
+    assert_default_matches_serial(broadcast_scenario, false);
+    assert_default_matches_serial(|activity| register_2pc_participants(activity, None), true);
+    assert_default_matches_serial(|activity| register_2pc_participants(activity, Some(3)), true);
+    assert_default_matches_serial(saga_scenario, true);
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use activity_service::{ActivityService, TraceEvent, TraceLog};
+use activity_service::{ActivityService, DispatchConfig, TraceEvent, TraceLog};
 use orb::Value;
 use parking_lot::Mutex;
 use tx_models::common::{SIG_OUTCOME, SIG_OUTCOME_ACK, SIG_START, SIG_START_ACK};
@@ -21,6 +21,10 @@ use wfengine::{script, FailurePolicy, TaskInput, TaskRegistry, TaskResult, Workf
 fn fig10_exact_message_sequence() {
     let service = ActivityService::new();
     let a = service.begin("a").unwrap();
+    // Each task logs its start and start_ack itself, so the asserted
+    // interleaving needs b's delivery to finish before c's begins: pin
+    // the serial loop rather than rely on the pool's timing.
+    a.coordinator().set_dispatch_config(DispatchConfig::serial());
     let log: Arc<Mutex<Vec<(String, String, String)>>> = Arc::new(Mutex::new(Vec::new()));
 
     // a → b, a → c: one TaskStartSignalSet both register with; then a → d.
