@@ -225,7 +225,7 @@ impl Activity {
             }),
         };
         if let Some(journal) = &*child.inner.journal.lock() {
-            journal.record(ActivityEvent::Begun {
+            journal.record(|| ActivityEvent::Begun {
                 activity: child.inner.id,
                 name: child.inner.name.clone(),
                 parent: Some(self.inner.id),
@@ -240,7 +240,7 @@ impl Activity {
     /// begin and complete — for conformance replay against a reference
     /// nesting model. Attaching records this activity's own `Begun` event.
     pub fn set_journal(&self, journal: ActivityJournal) {
-        journal.record(ActivityEvent::Begun {
+        journal.record(|| ActivityEvent::Begun {
             activity: self.inner.id,
             name: self.inner.name.clone(),
             parent: self.inner.parent.upgrade().map(|p| p.id),
@@ -456,7 +456,7 @@ impl Activity {
         *self.inner.state.lock() = ActivityState::Completed;
         *self.inner.outcome.lock() = Some(outcome.clone());
         if let Some(journal) = &*self.inner.journal.lock() {
-            journal.record(ActivityEvent::Completed {
+            journal.record(|| ActivityEvent::Completed {
                 activity: self.inner.id,
                 status: effective,
                 outcome: outcome.name().to_owned(),

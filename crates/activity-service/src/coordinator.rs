@@ -171,11 +171,9 @@ impl ActivityCoordinator {
     }
 
     /// Attach a telemetry recorder: every subsequent protocol run becomes
-    /// a `signal_set:` span with one `transmit:` child span per delivery,
-    /// and each fig. 5 trace event doubles as a span event rendered with
-    /// the exact [`TraceEvent`] `Display` text — which is what lets
-    /// harness oracle #7 pin the span tree's coordinator projection to
-    /// the [`TraceLog`] byte-for-byte.
+    /// a `signal_set:` span with one `transmit:` child span per delivery.
+    /// With the trace and the telemetry on one flight recorder, the ring
+    /// interleaves span open/close with the trace lines in emission order.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
         *self.telemetry.lock() = Some(telemetry);
         self.telemetry_on.store(true, Ordering::Release);
@@ -364,9 +362,7 @@ impl ActivityCoordinator {
         let mut id_buf = String::new();
         loop {
             self.hit_failpoint(failpoints::BEFORE_GET_SIGNAL)?;
-            self.record(tel.map(|(t, s)| (t, s)), || TraceEvent::GetSignal {
-                set: set_name.to_owned(),
-            });
+            self.record(|| TraceEvent::GetSignal { set: set_name.to_owned() });
             let next = entry.set.get_signal();
             entry.state = entry
                 .state
@@ -447,11 +443,9 @@ impl ActivityCoordinator {
                             .incr(&format!("signals_transmitted_total{{set=\"{set_name}\"}}"));
                         span
                     });
-                    self.record(tel.map(|(t, _)| t).zip(span.as_ref()), || {
-                        TraceEvent::Transmit {
-                            signal: signal.name().to_owned(),
-                            action: action.name().to_owned(),
-                        }
+                    self.record(|| TraceEvent::Transmit {
+                        signal: signal.name().to_owned(),
+                        action: action.name().to_owned(),
                     });
                     open_transmit.set(span);
                 },
@@ -466,7 +460,7 @@ impl ActivityCoordinator {
                         }
                     }
                     collated += 1;
-                    self.record(tel.map(|(t, s)| (t, s)), || TraceEvent::SetResponse {
+                    self.record(|| TraceEvent::SetResponse {
                         set: set_name.to_owned(),
                         outcome: outcome.name().to_owned(),
                     });
@@ -487,32 +481,23 @@ impl ActivityCoordinator {
         entry.state.check_outcome_readable(set_name)?;
         self.hit_failpoint(failpoints::BEFORE_OUTCOME)?;
         let outcome = entry.set.get_outcome();
-        self.record(tel.map(|(t, s)| (t, s)), || TraceEvent::GetOutcome {
+        self.record(|| TraceEvent::GetOutcome {
             set: set_name.to_owned(),
             outcome: outcome.name().to_owned(),
         });
         Ok(outcome)
     }
 
-    /// Record one protocol step into the trace log and — when a span is
-    /// given — as a span event with the same `Display` text, from the
-    /// same call site, so the two views cannot drift apart.
-    fn record(&self, span: Option<(&Telemetry, &SpanContext)>, event: impl FnOnce() -> TraceEvent) {
+    /// Record one protocol step into the trace log.
+    fn record(&self, event: impl FnOnce() -> TraceEvent) {
         // Fast path: with no trace attached (the common case for
         // production coordinators) this is one relaxed-ish atomic load —
         // no mutex, no event construction.
-        let trace_on = self.trace_on.load(Ordering::Acquire);
-        if !trace_on && span.is_none() {
+        if !self.trace_on.load(Ordering::Acquire) {
             return;
         }
-        let event = event();
-        if trace_on {
-            if let Some(trace) = self.trace.lock().as_ref() {
-                trace.record(event.clone());
-            }
-        }
-        if let Some((telemetry, span)) = span {
-            telemetry.event(span, &event.to_string());
+        if let Some(trace) = self.trace.lock().as_ref() {
+            trace.record(event);
         }
     }
 }
@@ -657,10 +642,12 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_projection_matches_the_trace_byte_for_byte() {
-        let c = coordinator();
-        let trace = TraceLog::new();
+    fn trace_and_spans_share_one_recorder_in_emission_order() {
+        let c = ActivityCoordinator::with_dispatch(ActivityId::new(1), DispatchConfig::serial());
+        let recorder = telemetry::FlightRecorder::new("coordinator", 64);
+        let trace: TraceLog = recorder.journal();
         let tel = Telemetry::new();
+        tel.attach_recorder(recorder.clone());
         c.set_trace(trace.clone());
         c.set_telemetry(tel.clone());
         c.add_signal_set(Box::new(BroadcastSignalSet::new("S", "go", Value::Null)))
@@ -670,9 +657,29 @@ mod tests {
         c.register_action("S", counting_action("a2", Arc::clone(&hits)));
         c.process_signal_set("S").unwrap();
 
+        let ring: Vec<String> =
+            recorder.events().iter().map(|e| format!("{} {}", e.kind, e.detail)).collect();
+        assert_eq!(
+            ring,
+            vec![
+                "span-open signal_set:S",
+                "trace get_signal(S)",
+                "span-open transmit:go",
+                "trace \"go\" -> a1",
+                "trace set_response(S, done)",
+                "span-close transmit:go",
+                "span-open transmit:go",
+                "trace \"go\" -> a2",
+                "trace set_response(S, done)",
+                "span-close transmit:go",
+                "trace get_outcome(S) = done",
+                "span-close signal_set:S",
+            ]
+        );
+        assert_eq!(trace.events().len(), 6);
+
         let tree = tel.span_tree();
         assert_eq!(tree.verify(), Vec::<String>::new());
-        assert_eq!(tree.coordinator_projection(), trace.render());
 
         // One signal_set root carrying one transmit child per delivery.
         let roots = tree.roots();

@@ -11,11 +11,10 @@
 //! records them here when a journal is attached via
 //! [`crate::Activity::set_journal`]. Children inherit the parent's
 //! journal at [`crate::Activity::begin_child`] time. Without a journal,
-//! nothing is recorded and nothing is paid.
+//! nothing is recorded and nothing is paid. Like the trace, the journal is
+//! a typed view over a flight recorder (kind `activity`).
 
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::fmt;
 
 use crate::activity::ActivityId;
 use crate::completion::CompletionStatus;
@@ -37,66 +36,26 @@ pub enum ActivityEvent {
     },
 }
 
-impl ActivityEvent {
-    /// One-line rendering used by the flight-recorder mirror.
-    #[must_use]
-    pub fn render(&self) -> String {
+impl fmt::Display for ActivityEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ActivityEvent::Begun { activity, name, parent } => match parent {
-                Some(parent) => format!("begun({activity}, {name}, parent={parent})"),
-                None => format!("begun({activity}, {name}, root)"),
+                Some(parent) => write!(f, "begun({activity}, {name}, parent={parent})"),
+                None => write!(f, "begun({activity}, {name}, root)"),
             },
             ActivityEvent::Completed { activity, status, outcome } => {
-                format!("completed({activity}, {status:?}, {outcome})")
+                write!(f, "completed({activity}, {status:?}, {outcome})")
             }
         }
     }
 }
 
-/// A shared, append-only journal of [`ActivityEvent`]s. Clones share
-/// storage.
-#[derive(Debug, Clone, Default)]
-pub struct ActivityJournal {
-    events: Arc<Mutex<Vec<ActivityEvent>>>,
-    /// Optional flight-recorder mirror (kind `activity`): lifecycle steps
-    /// land in the node's black box in journal order.
-    recorder: Arc<OnceLock<telemetry::FlightRecorder>>,
+impl telemetry::JournalEvent for ActivityEvent {
+    const KIND: telemetry::RecordKind = telemetry::RecordKind::Activity;
 }
 
-impl ActivityJournal {
-    /// An empty journal.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirror every future event into `recorder` (kind `activity`).
-    /// Write-once so the hot path reads it with a single atomic load
-    /// (no lock even when attached-but-disabled); later calls are ignored.
-    pub fn set_recorder(&self, recorder: telemetry::FlightRecorder) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// Append one event.
-    pub fn record(&self, event: ActivityEvent) {
-        if let Some(recorder) = self.recorder.get() {
-            recorder.record(telemetry::RecordKind::Activity, || event.render());
-        }
-        self.events.lock().push(event);
-    }
-
-    /// Snapshot the events recorded so far, oldest first.
-    #[must_use]
-    pub fn events(&self) -> Vec<ActivityEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
+/// A shared, append-only journal of [`ActivityEvent`]s; clones share it.
+pub type ActivityJournal = telemetry::Journal<ActivityEvent>;
 
 #[cfg(test)]
 mod tests {

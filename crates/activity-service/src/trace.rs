@@ -2,12 +2,11 @@
 //!
 //! The paper's figs. 8, 10, 11 and 12 are message-sequence charts; the
 //! integration tests regenerate them by attaching a [`TraceLog`] to a
-//! coordinator and asserting the exact recorded exchange.
+//! coordinator and asserting the exact recorded exchange. A `TraceLog` is
+//! a typed view over a flight recorder (kind `trace`): attach
+//! `recorder.journal()` and the node's black box holds the trace itself.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 
 /// One observed protocol step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,68 +54,12 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A shared, append-only recording of [`TraceEvent`]s.
-#[derive(Debug, Clone, Default)]
-pub struct TraceLog {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-    /// Optional flight-recorder mirror: each recorded event also lands in
-    /// the node's black box (kind `trace`, rendered exactly as
-    /// [`TraceLog::render`] would), so oracle #11 can check the recorder
-    /// preserved the trace's causal order.
-    recorder: Arc<OnceLock<telemetry::FlightRecorder>>,
+impl telemetry::JournalEvent for TraceEvent {
+    const KIND: telemetry::RecordKind = telemetry::RecordKind::Trace;
 }
 
-impl TraceLog {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirror every future event into `recorder` (kind `trace`).
-    /// Write-once so the hot path reads it with a single atomic load
-    /// (no lock even when attached-but-disabled); later calls are ignored.
-    pub fn set_recorder(&self, recorder: telemetry::FlightRecorder) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// Append one event.
-    pub fn record(&self, event: TraceEvent) {
-        if let Some(recorder) = self.recorder.get() {
-            recorder.record(telemetry::RecordKind::Trace, || event.to_string());
-        }
-        self.events.lock().push(event);
-    }
-
-    /// Snapshot of all events so far.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Compact, line-per-event rendering (handy in assertion failures).
-    pub fn render(&self) -> String {
-        self.events
-            .lock()
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Clear all recorded events.
-    pub fn clear(&self) {
-        self.events.lock().clear();
-    }
-
-    /// Number of events recorded.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
+/// A shared, append-only recording of [`TraceEvent`]s; clones share it.
+pub type TraceLog = telemetry::Journal<TraceEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -126,10 +69,10 @@ mod tests {
     fn records_in_order_and_renders() {
         let log = TraceLog::new();
         assert!(log.is_empty());
-        log.record(TraceEvent::GetSignal { set: "2pc".into() });
-        log.record(TraceEvent::Transmit { signal: "prepare".into(), action: "a1".into() });
-        log.record(TraceEvent::SetResponse { set: "2pc".into(), outcome: "done".into() });
-        log.record(TraceEvent::GetOutcome { set: "2pc".into(), outcome: "done".into() });
+        log.record(|| TraceEvent::GetSignal { set: "2pc".into() });
+        log.record(|| TraceEvent::Transmit { signal: "prepare".into(), action: "a1".into() });
+        log.record(|| TraceEvent::SetResponse { set: "2pc".into(), outcome: "done".into() });
+        log.record(|| TraceEvent::GetOutcome { set: "2pc".into(), outcome: "done".into() });
         assert_eq!(log.len(), 4);
         let rendered = log.render();
         assert!(rendered.contains("get_signal(2pc)"));
@@ -143,7 +86,7 @@ mod tests {
     fn clones_share_storage() {
         let a = TraceLog::new();
         let b = a.clone();
-        a.record(TraceEvent::GetSignal { set: "s".into() });
+        a.record(|| TraceEvent::GetSignal { set: "s".into() });
         assert_eq!(b.len(), 1);
     }
 }

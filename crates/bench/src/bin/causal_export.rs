@@ -38,8 +38,7 @@ fn run_once() -> (String, u64, usize) {
         Arc::new(clock.clone()),
     );
     plane.register(&coord_recorder);
-    let journal = ProtocolJournal::new();
-    journal.set_recorder(coord_recorder.clone());
+    let journal: ProtocolJournal = coord_recorder.journal();
 
     let mut participants = Vec::new();
     for name in PARTICIPANTS {
@@ -65,13 +64,13 @@ fn run_once() -> (String, u64, usize) {
     // Phase one: solicit both votes over the wire, paced on the virtual
     // clock so the Perfetto slices spread out visibly.
     for (name, object) in &participants {
-        journal.record(TwoPcEvent::PrepareSent { participant: (*name).into() });
+        journal.record(|| TwoPcEvent::PrepareSent { participant: (*name).into() });
         clock.advance(PACE);
         let reply = orb
             .invoke(coordinator.name(), object, Request::new("prepare"), &RetryPolicy::none())
             .expect("prepare");
         assert_eq!(reply.result.as_str(), Some("commit"));
-        journal.record(TwoPcEvent::VoteRecorded {
+        journal.record(|| TwoPcEvent::VoteRecorded {
             participant: (*name).into(),
             vote: VoteKind::Commit,
         });
@@ -79,20 +78,20 @@ fn run_once() -> (String, u64, usize) {
 
     // Decision point, then phase two.
     clock.advance(PACE);
-    journal.record(TwoPcEvent::DecisionForced { commit: true });
+    journal.record(|| TwoPcEvent::DecisionForced { commit: true });
     for (name, object) in &participants {
         clock.advance(PACE);
         orb.invoke(coordinator.name(), object, Request::new("outcome"), &RetryPolicy::none())
             .expect("outcome");
-        journal.record(TwoPcEvent::OutcomeDelivered {
+        journal.record(|| TwoPcEvent::OutcomeDelivered {
             participant: (*name).into(),
             commit: true,
             ok: true,
         });
-        journal.record(TwoPcEvent::Forgotten { participant: (*name).into() });
+        journal.record(|| TwoPcEvent::Forgotten { participant: (*name).into() });
     }
     clock.advance(PACE);
-    journal.record(TwoPcEvent::Completed { committed: true });
+    journal.record(|| TwoPcEvent::Completed { committed: true });
 
     let dag = plane.merge().build();
     let violations = dag.verify();

@@ -50,8 +50,7 @@ fn main() {
     // Coordinator-side state: group-commit WAL, journal, detector.
     let group = Arc::new(GroupCommitWal::new(MemWal::new()));
     let wal: Arc<dyn Wal> = Arc::clone(&group) as Arc<dyn Wal>;
-    let journal = ProtocolJournal::new();
-    journal.set_recorder(recorder.clone());
+    let journal: ProtocolJournal = recorder.journal();
     let detector = FailureDetector::new(clock.clone());
     detector.set_recorder(recorder.clone());
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))

@@ -249,27 +249,27 @@ pub fn two_phase_with_telemetry(participants: usize, instrumented: bool) -> bool
 }
 
 /// Flight-recorder gate workload (DESIGN.md §15): the same native-OTS
-/// commit as [`two_phase_with_telemetry`], with a journal and failpoint set
-/// on the hot path and a *disabled* [`telemetry::FlightRecorder`] either
-/// attached to both or absent. Every journal record and failpoint passage
-/// still reaches the mirror, but the closed gate collapses it to one
-/// atomic load — the delta is the recorder's whole disabled-path cost.
-/// The caller builds the recorder once and passes it in: constructing the
-/// ring (one bounded allocation) is setup cost, not per-site cost, and
-/// attaching a shared handle is one `Arc` bump per mirror.
+/// commit as [`two_phase_with_telemetry`], with a failpoint set on the hot
+/// path and a *disabled* [`telemetry::FlightRecorder`] either present or
+/// absent. Present, the coordinator journals into it (the journal is a
+/// view over the ring) and the failpoint set mirrors into it; every record
+/// site still runs, but the closed gate collapses it to one atomic load —
+/// the delta is the recorder's whole disabled-path cost. Absent, there is
+/// no journal and no mirror. The caller builds the recorder once and
+/// passes it in: constructing the ring (one bounded allocation) is setup
+/// cost, not per-site cost, and attaching a shared handle is one `Arc`
+/// bump per view.
 pub fn two_phase_with_recorder(
     participants: usize,
     recorder: Option<&telemetry::FlightRecorder>,
 ) -> bool {
-    let journal = ots::ProtocolJournal::new();
     let failpoints = recovery_log::FailpointSet::new();
+    let mut factory = TransactionFactory::new();
     if let Some(recorder) = recorder {
-        journal.set_recorder(recorder.clone());
         failpoints.set_recorder(recorder.clone());
+        factory = factory.with_journal(recorder.journal());
     }
-    let factory = TransactionFactory::new()
-        .with_journal(journal)
-        .with_failpoints(failpoints);
+    let factory = factory.with_failpoints(failpoints);
     let control = factory.create().expect("create");
     for i in 0..participants {
         let store = Arc::new(TransactionalKv::new(format!("s{i}")));

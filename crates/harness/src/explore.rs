@@ -52,6 +52,7 @@ use std::time::{Duration, Instant};
 
 use orb::choice::{clamp_choice, DeliverySequencer};
 use parking_lot::Mutex;
+use telemetry::{fnv_fold, FNV_OFFSET};
 
 use crate::oracle::{self, Observation, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule};
@@ -244,17 +245,6 @@ pub struct ExploreReport {
     pub divergences: Vec<Divergence>,
     /// Whether a budget cut enumeration short — coverage claims are void.
     pub truncated: bool,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 fn fingerprint(obs: &Observation) -> u64 {

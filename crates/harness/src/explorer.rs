@@ -3,6 +3,8 @@
 //! invariant oracles, and shrink any violating schedule to a minimal
 //! reproducer.
 
+use telemetry::{fnv_fold, FNV_OFFSET};
+
 use crate::oracle::{self, Observation, Violation};
 use crate::scenario::Scenario;
 use crate::schedule::{self, FaultSchedule, ScheduleSpace};
@@ -118,17 +120,6 @@ pub struct SweepReport {
     pub fingerprint: u64,
     /// Oracle violations found, with minimal reproducers.
     pub failures: Vec<FailureReport>,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 fn fingerprint_run(hash: u64, seed: u64, obs: &Observation, violations: usize) -> u64 {

@@ -23,16 +23,14 @@
 //!   WAL-replay equivalence, trace determinism (same seed ⇒ byte-identical
 //!   trace), liveness under bounded transient faults (drops within the
 //!   retry budget must not prevent commit), telemetry conformance (the
-//!   span tree is well-formed and its projection onto coordinator events is
-//!   byte-identical to the trace), durability (acked LSNs survive crashes),
+//!   span tree is well-formed), durability (acked LSNs survive crashes),
 //!   refinement (the run's journal replays cleanly through the
 //!   executable reference models), and eventual resolution (once faults
 //!   cease and partitions heal no participant stays in-doubt, and
 //!   heuristics are recorded only for genuinely hazarded histories), and
-//!   recorder consistency (the flight recorder's retained window is a
-//!   causally-contiguous suffix of the trace, fingerprints replay
-//!   bit-identically, and critical-path attribution partitions the
-//!   commit span exactly), and causal consistency (the merged
+//!   recorder consistency (fingerprints replay bit-identically and
+//!   critical-path attribution partitions the commit span exactly), and
+//!   causal consistency (the merged
 //!   happens-before DAG over every node's Lamport-stamped log is acyclic,
 //!   receive-after-send on every wire edge, and protocol-ordered — no
 //!   outcome before its decision, no vote after it, no completion before

@@ -22,9 +22,10 @@
 //!    terminal forward outcome: the reliability layer absorbs bounded loss;
 //! 7. **telemetry-conformance** — when the scenario records spans, the span
 //!    tree must be well-formed (single-rooted per trace, no orphans, no
-//!    never-closed spans) and its projection onto coordinator events must be
-//!    byte-identical to the rendered [`TraceLog`]: the telemetry plane may
-//!    never disagree with the protocol's own account of what happened;
+//!    never-closed spans), and its fingerprint is compared across the
+//!    determinism oracle's two runs. (The trace needs no cross-check: it
+//!    is a typed view over the same flight recorder the spans mirror into,
+//!    so the two cannot disagree by construction);
 //! 8. **durability** — every record the log acknowledged as durable before
 //!    an injected crash must survive replay: if the scenario reports the
 //!    highest acked LSN and the set of LSNs found after restart, LSNs
@@ -44,13 +45,12 @@
 //!     histories — a heuristic on an unhazarded run means the participant
 //!     gave up when interrogation would have answered;
 //! 11. **recorder-consistency** — when the scenario attaches a flight
-//!     recorder, the recorder's black box must agree with the protocol's
-//!     own account: its `trace`-kind events must be exactly the (possibly
-//!     ring-evicted) tail of the [`TraceLog`]'s rendered lines, in the same
-//!     causal order, and the critical-path attribution over the commit span
-//!     must partition the root duration exactly. The recorder's fingerprint
-//!     is additionally compared across the determinism oracle's two runs —
-//!     the black box itself must be bit-identical under replay;
+//!     recorder, the critical-path attribution over the commit span must
+//!     partition the root duration exactly, and the recorder's fingerprint
+//!     is compared across the determinism oracle's two runs — the black box
+//!     must be bit-identical under replay. (The trace and the protocol and
+//!     activity journals are typed views over the recorder, so the black
+//!     box agrees with them by construction);
 //! 12. **causal-consistency** — when the scenario merges its per-node
 //!     flight-recorder logs into a global happens-before DAG
 //!     (`telemetry::CausalMerge`), the merge must verify clean: the DAG is
@@ -131,9 +131,6 @@ pub struct Observation {
     /// Span-tree well-formedness defects from `SpanTree::verify`
     /// (`None` when the scenario records no telemetry).
     pub span_wellformed: Option<Vec<String>>,
-    /// The span tree's projection onto coordinator events
-    /// (`None` when the scenario records no telemetry).
-    pub span_projection: Option<String>,
     /// Canonical span-tree fingerprint; compared across the determinism
     /// oracle's two runs (`None` when the scenario records no telemetry).
     pub span_fingerprint: Option<u64>,
@@ -167,14 +164,6 @@ pub struct Observation {
     /// heuristic was the participant's only legal exit (`None` when the
     /// scenario does not report hazard accounting).
     pub hazarded: Option<bool>,
-    /// Flight-recorder events as `(kind label, detail)` pairs, oldest
-    /// retained first (`None` when the scenario attaches no recorder; the
-    /// recorder-consistency oracle binds only when present).
-    pub recorder_events: Option<Vec<(String, String)>>,
-    /// The [`TraceLog`]'s rendered lines, in record order (`None` when the
-    /// scenario has no trace log; with `recorder_events` present this arms
-    /// the recorder-vs-trace causal-order check).
-    pub trace_log_events: Option<Vec<String>>,
     /// FNV fingerprint over the recorder's retained events; compared across
     /// the determinism oracle's two runs (`None` without a recorder).
     pub recorder_fingerprint: Option<u64>,
@@ -219,7 +208,6 @@ impl Observation {
             hard_faults: None,
             retry_budget: None,
             span_wellformed: None,
-            span_projection: None,
             span_fingerprint: None,
             durable_acked_lsn: None,
             survived_lsns: None,
@@ -229,14 +217,33 @@ impl Observation {
             in_doubt_after_resolution: None,
             heuristics: None,
             hazarded: None,
-            recorder_events: None,
-            trace_log_events: None,
             recorder_fingerprint: None,
             recorder_dump: None,
             critical_path_exact: None,
             causal_violations: None,
             causal_fingerprint: None,
             causal_perfetto: None,
+        }
+    }
+}
+
+impl Observation {
+    /// Report what a node's flight recorder holds: its fingerprint (compared
+    /// by the determinism oracle) and its dump (stapled to repros). With a
+    /// `merge`, also the merged happens-before DAG's verdict (oracle #12),
+    /// fingerprint and Perfetto export.
+    pub fn report_recorder(
+        &mut self,
+        recorder: &telemetry::FlightRecorder,
+        merge: Option<&telemetry::CausalMerge>,
+    ) {
+        self.recorder_fingerprint = Some(recorder.fingerprint());
+        self.recorder_dump = Some(recorder.dump());
+        if let Some(merge) = merge {
+            let dag = merge.build();
+            self.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
+            self.causal_fingerprint = Some(dag.fingerprint());
+            self.causal_perfetto = Some(dag.to_perfetto());
         }
     }
 }
@@ -433,18 +440,6 @@ fn check_telemetry(obs: &Observation, out: &mut Vec<Violation>) {
             });
         }
     }
-    if let Some(projection) = &obs.span_projection {
-        if *projection != obs.trace {
-            out.push(Violation {
-                oracle: "telemetry-conformance",
-                detail: format!(
-                    "span projection disagrees with the coordinator trace:\n\
-                     --- projection ---\n{projection}\n--- trace ---\n{}",
-                    obs.trace
-                ),
-            });
-        }
-    }
 }
 
 fn check_durability(obs: &Observation, out: &mut Vec<Violation>) {
@@ -507,39 +502,6 @@ fn check_eventual_resolution(obs: &Observation, out: &mut Vec<Violation>) {
 }
 
 fn check_recorder(obs: &Observation, out: &mut Vec<Violation>) {
-    // The oracle binds only when the scenario attaches a flight recorder.
-    let Some(events) = &obs.recorder_events else { return };
-    if let Some(trace_lines) = &obs.trace_log_events {
-        // The recorder mirrors every TraceLog record as a `trace`-kind
-        // event; the ring may have evicted the oldest, so what remains must
-        // be exactly the trace's tail, in the trace's own order.
-        let retained: Vec<&String> =
-            events.iter().filter(|(kind, _)| kind == "trace").map(|(_, d)| d).collect();
-        if retained.len() > trace_lines.len() {
-            out.push(Violation {
-                oracle: "recorder-consistency",
-                detail: format!(
-                    "recorder retained {} trace event(s) but the trace log only \
-                     recorded {} — the black box invented events",
-                    retained.len(),
-                    trace_lines.len()
-                ),
-            });
-        } else {
-            let tail = &trace_lines[trace_lines.len() - retained.len()..];
-            if !retained.iter().zip(tail.iter()).all(|(a, b)| *a == b) {
-                out.push(Violation {
-                    oracle: "recorder-consistency",
-                    detail: format!(
-                        "recorder trace events disagree with the trace log's tail \
-                         (causal order broken):\n--- recorder ---\n{}\n--- trace tail ---\n{}",
-                        retained.iter().map(|s| s.as_str()).collect::<Vec<_>>().join("\n"),
-                        tail.join("\n")
-                    ),
-                });
-            }
-        }
-    }
     if obs.critical_path_exact == Some(false) {
         out.push(Violation {
             oracle: "recorder-consistency",
@@ -733,20 +695,6 @@ mod tests {
     fn malformed_span_tree_is_a_violation() {
         let mut obs = Observation::new(RunOutcome::Committed);
         obs.span_wellformed = Some(vec!["span 3 never closed".into()]);
-        obs.span_projection = Some(String::new());
-        let v = check_all(&obs);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].oracle, "telemetry-conformance");
-    }
-
-    #[test]
-    fn span_projection_must_match_the_trace_byte_for_byte() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace = "get_signal(Bill)\n".into();
-        obs.span_wellformed = Some(Vec::new());
-        obs.span_projection = Some("get_signal(Bill)\n".into());
-        assert!(check_all(&obs).is_empty());
-        obs.span_projection = Some("get_signal(Bill)".into());
         let v = check_all(&obs);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].oracle, "telemetry-conformance");
@@ -876,59 +824,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_oracle_does_not_bind_without_a_recorder() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["get_signal(2pc)".into()]);
-        assert!(check_all(&obs).is_empty());
-    }
-
-    #[test]
-    fn recorder_mirror_matching_the_trace_passes() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["a".into(), "b".into(), "c".into()]);
-        obs.recorder_events = Some(vec![
-            ("span-open".into(), "commit:tx-1".into()),
-            ("trace".into(), "a".into()),
-            ("trace".into(), "b".into()),
-            ("protocol".into(), "decision_forced(commit=true)".into()),
-            ("trace".into(), "c".into()),
-        ]);
-        assert!(check_all(&obs).is_empty());
-    }
-
-    #[test]
-    fn ring_eviction_keeps_only_the_trace_tail() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["a".into(), "b".into(), "c".into()]);
-        // Oldest mirror ("a") evicted by the ring: a legal tail.
-        obs.recorder_events =
-            Some(vec![("trace".into(), "b".into()), ("trace".into(), "c".into())]);
-        assert!(check_all(&obs).is_empty());
-        // But a *gap* in the middle breaks causal order.
-        obs.recorder_events =
-            Some(vec![("trace".into(), "a".into()), ("trace".into(), "c".into())]);
-        let v = check_all(&obs);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].oracle, "recorder-consistency");
-        assert!(v[0].detail.contains("causal order"), "{}", v[0].detail);
-    }
-
-    #[test]
-    fn recorder_with_invented_events_is_a_violation() {
-        let mut obs = Observation::new(RunOutcome::Committed);
-        obs.trace_log_events = Some(vec!["a".into()]);
-        obs.recorder_events =
-            Some(vec![("trace".into(), "a".into()), ("trace".into(), "ghost".into())]);
-        let v = check_all(&obs);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].oracle, "recorder-consistency");
-        assert!(v[0].detail.contains("invented"), "{}", v[0].detail);
-    }
-
-    #[test]
     fn inexact_critical_path_is_a_violation() {
         let mut obs = Observation::new(RunOutcome::Committed);
-        obs.recorder_events = Some(Vec::new());
+        assert!(check_all(&obs).is_empty(), "no attribution, no binding");
         obs.critical_path_exact = Some(true);
         assert!(check_all(&obs).is_empty());
         obs.critical_path_exact = Some(false);

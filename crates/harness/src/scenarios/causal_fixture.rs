@@ -59,8 +59,7 @@ impl Scenario for ReorderedOutcomeScenario {
             Arc::new(clock.clone()),
         );
         plane.register(&coord_recorder);
-        let journal = ProtocolJournal::new();
-        journal.set_recorder(coord_recorder.clone());
+        let journal: ProtocolJournal = coord_recorder.journal();
 
         let mut refs = Vec::new();
         for name in PARTICIPANTS {
@@ -87,13 +86,13 @@ impl Scenario for ReorderedOutcomeScenario {
 
         // Phase one: solicit both votes.
         for (name, object) in &refs {
-            journal.record(TwoPcEvent::PrepareSent { participant: (*name).into() });
+            journal.record(|| TwoPcEvent::PrepareSent { participant: (*name).into() });
             clock.advance(STEP);
             let reply = orb
                 .invoke(COORDINATOR, object, Request::new("prepare"), &RetryPolicy::none())
                 .expect("invoke");
             let _ = writeln!(trace, "prepare({name}) -> {:?}", reply.result);
-            journal.record(TwoPcEvent::VoteRecorded {
+            journal.record(|| TwoPcEvent::VoteRecorded {
                 participant: (*name).into(),
                 vote: VoteKind::Commit,
             });
@@ -108,7 +107,7 @@ impl Scenario for ReorderedOutcomeScenario {
                 .invoke(COORDINATOR, object, Request::new("outcome"), &RetryPolicy::none())
                 .expect("invoke");
             let _ = writeln!(trace, "outcome({name}) -> {:?}", reply.result);
-            journal.record(TwoPcEvent::OutcomeDelivered {
+            journal.record(|| TwoPcEvent::OutcomeDelivered {
                 participant: (*name).into(),
                 commit: true,
                 ok: true,
@@ -116,15 +115,15 @@ impl Scenario for ReorderedOutcomeScenario {
         };
         if racy {
             deliver(0);
-            journal.record(TwoPcEvent::DecisionForced { commit: true });
+            journal.record(|| TwoPcEvent::DecisionForced { commit: true });
             deliver(1);
         } else {
-            journal.record(TwoPcEvent::DecisionForced { commit: true });
+            journal.record(|| TwoPcEvent::DecisionForced { commit: true });
             deliver(0);
             deliver(1);
         }
         clock.advance(STEP);
-        journal.record(TwoPcEvent::Completed { committed: true });
+        journal.record(|| TwoPcEvent::Completed { committed: true });
 
         let mut obs = Observation::new(RunOutcome::Committed);
         // Every per-node fact is healthy — the commit landed everywhere —
@@ -136,12 +135,7 @@ impl Scenario for ReorderedOutcomeScenario {
         obs.trace = trace;
         obs.observed_sites = vec![RACE_SITE.to_owned()];
         obs.remote_messages = orb.network().remote_messages();
-        obs.recorder_fingerprint = Some(coord_recorder.fingerprint());
-        obs.recorder_dump = Some(coord_recorder.dump());
-        let dag = plane.merge().build();
-        obs.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
-        obs.causal_fingerprint = Some(dag.fingerprint());
-        obs.causal_perfetto = Some(dag.to_perfetto());
+        obs.report_recorder(&coord_recorder, Some(&plane.merge()));
         obs
     }
 }

@@ -74,13 +74,12 @@ impl Explorable for ExplorableTwoPhase {
         let wal: Arc<dyn Wal> = Arc::new(MemWal::new());
         let failpoints = FailpointSet::new();
         faults.arm_into(&failpoints);
-        let journal = ots::ProtocolJournal::new();
         // The black box the explorer staples to a shrunk divergence.
         let recorder = telemetry::FlightRecorder::new(
             "coordinator",
             telemetry::DEFAULT_RECORDER_CAPACITY,
         );
-        journal.set_recorder(recorder.clone());
+        let journal: ots::ProtocolJournal = recorder.journal();
         failpoints.set_recorder(recorder.clone());
         let factory = TransactionFactory::with_wal(Arc::clone(&wal))
             .with_failpoints(failpoints.clone())
@@ -177,15 +176,7 @@ impl Explorable for ExplorableTwoPhase {
         obs.trace = trace;
         obs.observed_sites = failpoints.observed_sites();
         obs.model_events = Some(model_events);
-        obs.recorder_events = Some(
-            recorder
-                .events()
-                .iter()
-                .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-                .collect(),
-        );
-        obs.recorder_fingerprint = Some(recorder.fingerprint());
-        obs.recorder_dump = Some(recorder.dump());
+        obs.report_recorder(&recorder, None);
         obs
     }
 }
@@ -280,15 +271,7 @@ impl Explorable for BrokenAtomicCommitScenario {
             .collect();
         obs.trace = trace;
         obs.model_events = Some(events);
-        obs.recorder_events = Some(
-            recorder
-                .events()
-                .iter()
-                .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-                .collect(),
-        );
-        obs.recorder_fingerprint = Some(recorder.fingerprint());
-        obs.recorder_dump = Some(recorder.dump());
+        obs.report_recorder(&recorder, None);
         obs
     }
 }

@@ -156,8 +156,7 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
         Arc::new(move |node: &str| (node == COORDINATOR_NODE).then(|| object.clone()))
     };
 
-    let journal = ProtocolJournal::new();
-    journal.set_recorder(recorder.clone());
+    let journal: ProtocolJournal = recorder.journal();
     let factory = TransactionFactory::with_wal(Arc::clone(&coordinator_wal))
         .with_failpoints(failpoints.clone())
         .with_dispatch(DispatchConfig::serial())
@@ -380,22 +379,10 @@ fn run_termination(schedule: &FaultSchedule, forgetful: bool) -> Observation {
         .map(|s| (*s).to_owned())
         .collect();
     obs.model_events = Some(model_events);
-    obs.recorder_events = Some(
-        recorder
-            .events()
-            .iter()
-            .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-            .collect(),
-    );
-    obs.recorder_fingerprint = Some(recorder.fingerprint());
-    obs.recorder_dump = Some(recorder.dump());
     // Oracle #12: fold both nodes' logs into the global happens-before
     // DAG and verify it — acyclic, receive-after-send on every matched
     // wire edge, protocol order respected across the merge.
-    let dag = plane.merge().build();
-    obs.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
-    obs.causal_fingerprint = Some(dag.fingerprint());
-    obs.causal_perfetto = Some(dag.to_perfetto());
+    obs.report_recorder(&recorder, Some(&plane.merge()));
     obs
 }
 

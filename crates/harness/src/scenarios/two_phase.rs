@@ -68,17 +68,17 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     };
     let failpoints = FailpointSet::new();
     schedule.arm_into(&failpoints);
-    let journal = ots::ProtocolJournal::new();
-    // The coordinator's black box (oracle #11): journal entries, failpoint
-    // passages and span open/close all land in one causally-ordered ring,
-    // identically wired for both wal flavours so the byte-identity guard
-    // between them keeps holding. Spans run on a virtual clock pinned at
-    // zero — timestamps stay deterministic without a driven clock.
+    // The coordinator's black box (oracle #11): the journal (a view over
+    // the ring), failpoint passages and span open/close all land in one
+    // causally-ordered ring, identically wired for both wal flavours so the
+    // byte-identity guard between them keeps holding. Spans run on a
+    // virtual clock pinned at zero — timestamps stay deterministic without
+    // a driven clock.
     let recorder =
         telemetry::FlightRecorder::new("coordinator", telemetry::DEFAULT_RECORDER_CAPACITY);
+    let journal: ots::ProtocolJournal = recorder.journal();
     let telemetry = telemetry::Telemetry::with_time(Arc::new(orb::SimClock::new()));
     telemetry.attach_recorder(recorder.clone());
-    journal.set_recorder(recorder.clone());
     failpoints.set_recorder(recorder.clone());
     let factory = TransactionFactory::with_wal(Arc::clone(&wal))
         .with_failpoints(failpoints.clone())
@@ -184,24 +184,12 @@ fn run_two_phase(schedule: &FaultSchedule, group_commit: bool) -> Observation {
     obs.trace = trace;
     obs.observed_sites = failpoints.observed_sites();
     obs.model_events = Some(model_events);
-    obs.recorder_events = Some(
-        recorder
-            .events()
-            .iter()
-            .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-            .collect(),
-    );
-    obs.recorder_fingerprint = Some(recorder.fingerprint());
-    obs.recorder_dump = Some(recorder.dump());
     obs.critical_path_exact = telemetry.span_tree().critical_path().map(|path| path.is_exact());
     // Oracle #12: even a single-node run has a causal story — program
-    // order plus the 2PC protocol-order rules over the journal mirror.
+    // order plus the 2PC protocol-order rules over the journal.
     let mut merge = telemetry::CausalMerge::new();
     merge.add_recorder(&recorder);
-    let dag = merge.build();
-    obs.causal_violations = Some(dag.verify().iter().map(ToString::to_string).collect());
-    obs.causal_fingerprint = Some(dag.fingerprint());
-    obs.causal_perfetto = Some(dag.to_perfetto());
+    obs.report_recorder(&recorder, Some(&merge));
     obs
 }
 

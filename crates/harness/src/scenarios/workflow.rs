@@ -54,13 +54,12 @@ pub(crate) fn run_workflow_with(
 ) -> Observation {
     let clock = SimClock::new();
     // Spans are timestamped off the run's virtual clock, and the recorder
-    // feeds oracle #7: the tree must stay well-formed on every schedule and
-    // its event projection byte-identical to the coordinator trace.
+    // feeds oracle #7: the tree must stay well-formed on every schedule.
     let telemetry = telemetry::Telemetry::with_time(Arc::new(clock.clone()));
-    // The coordinator's flight recorder (oracle #11): every trace event,
-    // span open/close and failpoint passage lands in the ring on the same
-    // virtual clock, so its fingerprint must be bit-identical across the
-    // determinism oracle's double runs.
+    // The coordinator's flight recorder (oracle #11): the trace (a view over
+    // the ring), span open/close and every failpoint passage land in the
+    // ring on the same virtual clock, so its fingerprint must be
+    // bit-identical across the determinism oracle's double runs.
     let recorder = telemetry::FlightRecorder::with_time(
         "coordinator",
         telemetry::DEFAULT_RECORDER_CAPACITY,
@@ -109,8 +108,7 @@ pub(crate) fn run_workflow_with(
     let activity = service.begin("billing-run").expect("begin activity");
     activity.coordinator().set_dispatch_config(DispatchConfig::serial());
     activity.coordinator().set_failpoints(failpoints.clone());
-    let trace = TraceLog::new();
-    trace.set_recorder(recorder.clone());
+    let trace: TraceLog = recorder.journal();
     failpoints.set_recorder(recorder.clone());
     activity.coordinator().set_trace(trace.clone());
     activity.coordinator().set_telemetry(telemetry.clone());
@@ -155,18 +153,8 @@ pub(crate) fn run_workflow_with(
     obs.trace = trace.render();
     let span_tree = telemetry.span_tree();
     obs.span_wellformed = Some(span_tree.verify());
-    obs.span_projection = Some(span_tree.coordinator_projection());
     obs.span_fingerprint = Some(span_tree.fingerprint());
-    obs.trace_log_events = Some(trace.events().iter().map(ToString::to_string).collect());
-    obs.recorder_events = Some(
-        recorder
-            .events()
-            .iter()
-            .map(|e| (e.kind.label().to_owned(), e.detail.clone()))
-            .collect(),
-    );
-    obs.recorder_fingerprint = Some(recorder.fingerprint());
-    obs.recorder_dump = Some(recorder.dump());
+    obs.report_recorder(&recorder, None);
     obs.critical_path_exact = span_tree.critical_path().map(|path| path.is_exact());
     obs.observed_sites = failpoints.observed_sites();
     obs.remote_messages = orb.network().remote_messages();

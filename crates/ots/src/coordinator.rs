@@ -1,6 +1,6 @@
 //! The per-transaction coordinator: registration, two-phase commit, nesting.
 
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Named crash-injection sites of the two-phase-commit protocol, in the
 /// order they are passed during a commit. Every
@@ -89,7 +89,8 @@ pub struct Coordinator {
     detector: Mutex<Option<FailureDetector>>,
     telemetry: Mutex<Option<Telemetry>>,
     sequencer: Mutex<Option<Arc<dyn DeliverySequencer>>>,
-    journal: Mutex<Option<ProtocolJournal>>,
+    /// Set once, read with one atomic load at every record site.
+    journal: OnceLock<ProtocolJournal>,
 }
 
 impl std::fmt::Debug for Coordinator {
@@ -132,7 +133,7 @@ impl Coordinator {
             detector: Mutex::new(None),
             telemetry: Mutex::new(None),
             sequencer: Mutex::new(None),
-            journal: Mutex::new(None),
+            journal: OnceLock::new(),
         })
     }
 
@@ -179,13 +180,14 @@ impl Coordinator {
     /// Attach a [`ProtocolJournal`]: the coordinator records every
     /// prepare/vote, the forced decision, phase-two deliveries, forgets and
     /// the terminal state into it. Subtransactions inherit the journal.
+    /// Write-once: later calls are ignored.
     pub fn set_journal(&self, journal: ProtocolJournal) {
-        *self.journal.lock() = Some(journal);
+        let _ = self.journal.set(journal);
     }
 
     /// The attached protocol journal, if any.
     pub fn journal(&self) -> Option<ProtocolJournal> {
-        self.journal.lock().clone()
+        self.journal.get().cloned()
     }
 
     fn telemetry_handle(&self) -> Option<Telemetry> {
@@ -284,9 +286,9 @@ impl Coordinator {
                 resource.rollback(id).is_ok()
             }),
         };
-        if let Some(journal) = self.journal.lock().clone() {
+        if let Some(journal) = self.journal.get() {
             for (resource, ok) in resources.iter().zip(results) {
-                journal.record(TwoPcEvent::OutcomeDelivered {
+                journal.record(|| TwoPcEvent::OutcomeDelivered {
                     participant: resource.resource_name().to_owned(),
                     commit: false,
                     ok,
@@ -432,7 +434,7 @@ impl Coordinator {
             detector: Mutex::new(self.detector.lock().clone()),
             telemetry: Mutex::new(self.telemetry.lock().clone()),
             sequencer: Mutex::new(self.sequencer.lock().clone()),
-            journal: Mutex::new(self.journal.lock().clone()),
+            journal: self.journal.clone(),
         });
         inner.children.push(Arc::clone(&child));
         Ok(child)
@@ -614,7 +616,7 @@ impl Coordinator {
                 // see `prepare`. A sequencer, when attached, picks which
                 // pending participant is asked next; without one the loop
                 // walks registration order exactly as before.
-                let journal = self.journal.lock().clone();
+                let journal = self.journal.get();
                 let sequencer = self.sequencer.lock().clone();
                 let mut batch = PREPARE_SITE.inline();
                 let mut pending: Vec<usize> = (0..resources.len()).collect();
@@ -629,8 +631,8 @@ impl Coordinator {
                     };
                     let resource = &resources[pending.remove(slot)];
                     let vote_started = tel.and_then(|_| self.clock.as_ref().map(SimClock::now));
-                    if let Some(journal) = &journal {
-                        journal.record(TwoPcEvent::PrepareSent {
+                    if let Some(journal) = journal {
+                        journal.record(|| TwoPcEvent::PrepareSent {
                             participant: resource.resource_name().to_owned(),
                         });
                     }
@@ -659,8 +661,8 @@ impl Coordinator {
                             Err(_) => detector.record_failure(resource.resource_name()),
                         }
                     }
-                    if let Some(journal) = &journal {
-                        journal.record(TwoPcEvent::VoteRecorded {
+                    if let Some(journal) = journal {
+                        journal.record(|| TwoPcEvent::VoteRecorded {
                             participant: resource.resource_name().to_owned(),
                             vote: VoteKind::from_answer(&answer),
                         });
@@ -692,13 +694,13 @@ impl Coordinator {
                 // collation (registration order), not inside the scattered
                 // tasks, so suspicion counters and the journal evolve
                 // deterministically under parallel dispatch.
-                let journal = self.journal.lock().clone();
+                let journal = self.journal.get();
                 for (resource, vote) in resources.iter().zip(votes) {
-                    if let Some(journal) = &journal {
-                        journal.record(TwoPcEvent::PrepareSent {
+                    if let Some(journal) = journal {
+                        journal.record(|| TwoPcEvent::PrepareSent {
                             participant: resource.resource_name().to_owned(),
                         });
-                        journal.record(TwoPcEvent::VoteRecorded {
+                        journal.record(|| TwoPcEvent::VoteRecorded {
                             participant: resource.resource_name().to_owned(),
                             vote: VoteKind::from_answer(&vote),
                         });
@@ -743,8 +745,8 @@ impl Coordinator {
         if prepared.is_empty() {
             // Everybody read-only: committed with no phase two, no log.
             self.set_status(TxStatus::Committed);
-            if let Some(journal) = self.journal.lock().clone() {
-                journal.record(TwoPcEvent::Completed { committed: true });
+            if let Some(journal) = self.journal.get() {
+                journal.record(|| TwoPcEvent::Completed { committed: true });
             }
             for sync in &synchronizations {
                 sync.after_completion(&self.id, TxStatus::Committed);
@@ -763,8 +765,8 @@ impl Coordinator {
             // presumed abort re-derives it on replay.
             txlog::log_decision_commit(wal.as_ref(), &self.id)?;
         }
-        if let Some(journal) = self.journal.lock().clone() {
-            journal.record(TwoPcEvent::DecisionForced { commit: true });
+        if let Some(journal) = self.journal.get() {
+            journal.record(|| TwoPcEvent::DecisionForced { commit: true });
         }
         self.failpoints.hit(failpoints::AFTER_DECISION).map_err(TxError::from)?;
 
@@ -802,16 +804,16 @@ impl Coordinator {
                     }
                 }),
             };
-        if let Some(journal) = self.journal.lock().clone() {
+        if let Some(journal) = self.journal.get() {
             for (resource, heuristic) in prepared.iter().zip(&deliveries) {
                 let ok = heuristic.is_none();
-                journal.record(TwoPcEvent::OutcomeDelivered {
+                journal.record(|| TwoPcEvent::OutcomeDelivered {
                     participant: resource.resource_name().to_owned(),
                     commit: true,
                     ok,
                 });
                 if ok {
-                    journal.record(TwoPcEvent::Forgotten {
+                    journal.record(|| TwoPcEvent::Forgotten {
                         participant: resource.resource_name().to_owned(),
                     });
                 }
@@ -911,8 +913,8 @@ impl Coordinator {
             if let Some(wal) = &self.wal {
                 let _ = txlog::log_completed(wal.as_ref(), &self.id, status);
             }
-            if let Some(journal) = self.journal.lock().clone() {
-                journal.record(TwoPcEvent::Completed {
+            if let Some(journal) = self.journal.get() {
+                journal.record(|| TwoPcEvent::Completed {
                     committed: status == TxStatus::Committed,
                 });
             }
@@ -1420,6 +1422,30 @@ mod tests {
         }
         assert_eq!(suspicions[0].0, 1, "one failed prepare, one count");
         assert_eq!(suspicions[0], suspicions[1], "dispatch config is invisible to suspicion");
+    }
+
+    #[test]
+    fn subtransactions_inherit_the_journal_and_it_is_write_once() {
+        let c = top(None);
+        let journal = ProtocolJournal::new();
+        c.set_journal(journal.clone());
+        let ignored = ProtocolJournal::new();
+        c.set_journal(ignored.clone());
+        let child = c.create_subtransaction().unwrap();
+        // Two voters: a single resource would take the one-phase shortcut.
+        child.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
+        child.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
+        child
+            .journal()
+            .expect("inherited")
+            .record(|| TwoPcEvent::Forgotten { participant: "probe".into() });
+        child.commit(true).unwrap();
+        c.commit(true).unwrap();
+        let events = journal.events();
+        assert_eq!(events[0], TwoPcEvent::Forgotten { participant: "probe".into() });
+        assert!(events.contains(&TwoPcEvent::PrepareSent { participant: "a".into() }));
+        assert_eq!(events.last(), Some(&TwoPcEvent::Completed { committed: true }));
+        assert!(ignored.is_empty(), "a second set_journal is ignored");
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! order; under parallel dispatch they are recorded at collation, in
 //! registration order (the joined result order — the journal stays
 //! deterministic, but it then reflects collation, not wire order).
+//!
+//! The journal is a typed view over a flight recorder (kind `protocol`):
+//! attach `recorder.journal()` and the node's black box holds it.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
 
 use crate::resource::Vote;
 
@@ -82,55 +82,12 @@ impl fmt::Display for TwoPcEvent {
     }
 }
 
+impl telemetry::JournalEvent for TwoPcEvent {
+    const KIND: telemetry::RecordKind = telemetry::RecordKind::Protocol;
+}
+
 /// A shared, append-only journal of [`TwoPcEvent`]s. Clones share storage.
-#[derive(Debug, Clone, Default)]
-pub struct ProtocolJournal {
-    events: Arc<Mutex<Vec<TwoPcEvent>>>,
-    /// Optional flight-recorder mirror (kind `protocol`): the node's black
-    /// box sees every 2PC lifecycle step in journal order.
-    recorder: Arc<OnceLock<telemetry::FlightRecorder>>,
-}
-
-impl ProtocolJournal {
-    /// An empty journal.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirror every future event into `recorder` (kind `protocol`).
-    /// Write-once so the hot path reads it with a single atomic load
-    /// (no lock even when attached-but-disabled); later calls are ignored.
-    pub fn set_recorder(&self, recorder: telemetry::FlightRecorder) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// Append one event.
-    pub fn record(&self, event: TwoPcEvent) {
-        if let Some(recorder) = self.recorder.get() {
-            recorder.record(telemetry::RecordKind::Protocol, || event.to_string());
-        }
-        self.events.lock().push(event);
-    }
-
-    /// Snapshot the events recorded so far, oldest first.
-    #[must_use]
-    pub fn events(&self) -> Vec<TwoPcEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
+pub type ProtocolJournal = telemetry::Journal<TwoPcEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -140,8 +97,8 @@ mod tests {
     fn clones_share_storage() {
         let journal = ProtocolJournal::new();
         let alias = journal.clone();
-        journal.record(TwoPcEvent::PrepareSent { participant: "a".into() });
-        alias.record(TwoPcEvent::VoteRecorded {
+        journal.record(|| TwoPcEvent::PrepareSent { participant: "a".into() });
+        alias.record(|| TwoPcEvent::VoteRecorded {
             participant: "a".into(),
             vote: VoteKind::Commit,
         });

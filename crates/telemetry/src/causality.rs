@@ -442,7 +442,7 @@ impl CausalDag {
         }
 
         // Protocol order over the merged DAG. Protocol events are the
-        // journal mirrors (ots::TwoPcEvent renderings). Logs may hold
+        // journal's entries (ots::TwoPcEvent renderings). Logs may hold
         // several consecutive transactions; a `prepare_sent(` following a
         // `completed(` starts the next epoch on that node and checks
         // never compare across epochs.
@@ -550,16 +550,8 @@ impl CausalDag {
     /// double runs (oracle #12 checks exactly that).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for byte in bytes {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-            hash ^= u64::from(b'\n');
-            hash = hash.wrapping_mul(PRIME);
-        };
+        let mut hash = crate::FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| hash = crate::fnv_fold(crate::fnv_fold(hash, bytes), b"\n");
         for event in &self.events {
             eat(event.node.as_bytes());
             eat(event.render().as_bytes());

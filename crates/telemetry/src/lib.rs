@@ -14,10 +14,14 @@
 //!   virtual-time histograms behind one `AtomicBool` gate — the disabled
 //!   path is a single atomic load, no allocation — with a
 //!   Prometheus-text exporter and a JSON snapshot.
+//! - **One event log per node** ([`FlightRecorder`]): a bounded,
+//!   Lamport-stamped ring. The coordinator trace and the 2PC and activity
+//!   journals are typed [`Journal`] views over it, not copies, so a dump
+//!   and the events a figure test asserts on cannot disagree.
 //! - **Conformance surfaces** ([`SpanTree::verify`],
-//!   [`SpanTree::fingerprint`], [`SpanTree::coordinator_projection`])
-//!   consumed by harness oracle #7, which pins the span tree to the
-//!   `TraceLog` the figure pipeline already trusts.
+//!   [`SpanTree::fingerprint`], [`FlightRecorder::fingerprint`],
+//!   [`CausalDag::fingerprint`]) consumed by harness oracles #7, #11 and
+//!   #12; every fingerprint is an FNV-1a fold ([`fnv_fold`]).
 //!
 //! The crate sits at the bottom of the workspace dependency stack (it
 //! depends only on the vendored `parking_lot`), so every layer — orb,
@@ -26,6 +30,7 @@
 //! plumbing style. There is no process-global state.
 
 mod causality;
+mod journal;
 mod metrics;
 mod recorder;
 mod sequence;
@@ -36,6 +41,7 @@ pub use causality::{
     check_perfetto_schema, parse_wire_stamp, wire_stamp, CausalDag, CausalMerge, CausalViolation,
     CausalityPlane, LamportClock, LAMPORT_CONTEXT_KEY,
 };
+pub use journal::{Journal, JournalEvent};
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use recorder::{FlightRecorder, RecordKind, RecordedEvent, DEFAULT_RECORDER_CAPACITY};
 pub use sequence::{render_sequence, MSC_FROM, MSC_MSG, MSC_NOTE, MSC_REPLY, MSC_TO};
@@ -51,6 +57,17 @@ use std::time::Duration;
 
 /// Service-context key under which [`SpanContext`] travels in requests.
 pub const SPAN_CONTEXT_KEY: &str = "telemetry.span";
+
+/// FNV-1a 64-bit offset basis: the starting value of every fingerprint.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into an FNV-1a hash, one byte at a time.
+#[must_use]
+pub fn fnv_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |hash, byte| (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3))
+}
 
 /// A source of virtual time. The ORB's `SimClock` implements this in the
 /// `orb` crate (the trait lives here so `telemetry` stays at the bottom
@@ -79,9 +96,6 @@ struct TelemetryInner {
     /// Shared allocator for trace and span ids; 0 is reserved for the
     /// disabled context.
     next_id: AtomicU64,
-    /// Recorder-wide point-event sequence; merging events by it recovers
-    /// emission order across spans (the coordinator projection).
-    event_seq: AtomicU64,
     store: Mutex<SpanStore>,
     /// Per-thread ambient span stack: the ORB server interceptor pushes
     /// before servant dispatch and pops in `send_reply`, so work done on
@@ -126,7 +140,6 @@ impl Telemetry {
                 enabled: gate.clone(),
                 time,
                 next_id: AtomicU64::new(1),
-                event_seq: AtomicU64::new(0),
                 store: Mutex::new(SpanStore {
                     spans: Vec::new(),
                     index: HashMap::new(),
@@ -181,7 +194,6 @@ impl Telemetry {
             start: self.now(),
             end: None,
             attrs: Vec::new(),
-            events: Vec::new(),
         };
         let mut store = self.inner.store.lock();
         let idx = store.spans.len();
@@ -321,18 +333,6 @@ impl Telemetry {
         }
     }
 
-    /// Attach a point event carrying the recorder-wide sequence number.
-    pub fn event(&self, context: &SpanContext, text: &str) {
-        if !context.is_recording() {
-            return;
-        }
-        let seq = self.inner.event_seq.fetch_add(1, Ordering::Relaxed);
-        let mut store = self.inner.store.lock();
-        if let Some(&idx) = store.index.get(&context.span_id) {
-            store.spans[idx].events.push((seq, text.to_string()));
-        }
-    }
-
     /// Number of spans recorded so far.
     pub fn span_count(&self) -> usize {
         self.inner.store.lock().spans.len()
@@ -353,6 +353,14 @@ impl Default for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_fold_is_fnv1a_64() {
+        // Reference values of 64-bit FNV-1a.
+        assert_eq!(fnv_fold(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv_fold(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv_fold(fnv_fold(FNV_OFFSET, b"fo"), b"o"), fnv_fold(FNV_OFFSET, b"foo"));
+    }
 
     #[test]
     fn ambient_stack_parents_spans() {
@@ -380,7 +388,7 @@ mod tests {
         let root = tel.start_root("root");
         assert!(!root.is_recording());
         tel.enter(root);
-        tel.event(&root, "ignored");
+        tel.set_attr(&root, "ignored", "yes");
         tel.end(&root);
         assert_eq!(tel.span_count(), 0);
         assert!(tel.current().is_none());

@@ -3,11 +3,12 @@
 //!
 //! The span tree answers "what was the causal structure"; the recorder
 //! answers "what did *this node* believe, in order, right before it
-//! failed". Every layer mirrors its journal into the ring — span
-//! open/close from [`crate::Telemetry`], `TraceLog`/`ProtocolJournal`/
-//! `ActivityJournal` entries, failpoint hits, detector transitions,
-//! partition open/heal, restarts — each stamped with a recorder-wide
-//! sequence number and the virtual time it happened.
+//! failed". It is the node's only event log: span open/close from
+//! [`crate::Telemetry`], the coordinator trace, the 2PC protocol journal
+//! and the activity journal (each a typed [`crate::Journal`] view over the
+//! ring), failpoint hits, detector transitions, partition open/heal,
+//! restarts — each stamped with a recorder-wide sequence number and the
+//! virtual time it happened.
 //!
 //! Discipline matches the rest of the telemetry plane:
 //!
@@ -17,7 +18,7 @@
 //! - **Bounded.** The ring holds at most `capacity` events; recording the
 //!   `capacity + 1`-th evicts the oldest. Eviction is strictly
 //!   oldest-first, so the surviving window is always a causally-contiguous
-//!   suffix.
+//!   suffix. A journal's private recorder is unbounded (`usize::MAX`).
 //! - **Deterministic.** Sequence numbers and virtual timestamps come from
 //!   the simulation, so [`FlightRecorder::fingerprint`] is bit-identical
 //!   across double runs of a pinned seed — harness oracle #11 checks
@@ -25,8 +26,10 @@
 //!   staples to a shrunk reproducer.
 
 use crate::causality::LamportClock;
-use crate::TimeSource;
+use crate::journal::{Journal, JournalEvent};
+use crate::{fnv_fold, TimeSource, FNV_OFFSET};
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
@@ -139,6 +142,20 @@ impl TimeSource for ZeroTime {
     }
 }
 
+/// One ring slot: the event, plus the typed value it was rendered from
+/// when a [`Journal`] recorded it.
+struct Entry {
+    event: RecordedEvent,
+    payload: Option<Box<dyn Any + Send + Sync>>,
+}
+
+/// FNV-1a over the canonical rendering of `events`, one line each.
+fn fingerprint_of<'a>(events: impl Iterator<Item = &'a Entry>) -> u64 {
+    events.fold(FNV_OFFSET, |hash, entry| {
+        fnv_fold(fnv_fold(hash, entry.event.render().as_bytes()), b"\n")
+    })
+}
+
 struct RecorderInner {
     enabled: AtomicBool,
     time: Arc<dyn TimeSource>,
@@ -150,11 +167,11 @@ struct RecorderInner {
     /// record the resulting stamp via [`FlightRecorder::record_stamped`],
     /// so local and wire events share one counter.
     lamport: LamportClock,
-    ring: Mutex<VecDeque<RecordedEvent>>,
+    ring: Mutex<VecDeque<Entry>>,
 }
 
 /// The shared recorder handle; cloning is one `Arc` bump, all clones feed
-/// one ring (mirroring the `TraceLog`/`Telemetry` handle style).
+/// one ring (the `Telemetry` handle style).
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<RecorderInner>,
@@ -254,7 +271,39 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        self.push(kind, self.inner.lamport.tick(), detail());
+        self.push(kind, self.inner.lamport.tick(), detail(), None);
+    }
+
+    /// Record one journal event: the ring keeps the typed value next to
+    /// its rendered `detail`, under `E::KIND`. Gated like
+    /// [`FlightRecorder::record`] — behind a closed gate `event` never runs.
+    pub(crate) fn record_typed<E: JournalEvent>(&self, event: impl FnOnce() -> E) {
+        if !self.is_enabled() {
+            return;
+        }
+        let event = event();
+        self.push(E::KIND, self.inner.lamport.tick(), event.to_string(), Some(Box::new(event)));
+    }
+
+    /// Visit the retained `E` values whose sequence number is at least
+    /// `since`, oldest first, with their ring entries.
+    pub(crate) fn for_each_typed<E: JournalEvent>(
+        &self,
+        since: u64,
+        mut visit: impl FnMut(&E, &RecordedEvent),
+    ) {
+        for entry in self.inner.ring.lock().iter().filter(|e| e.event.seq >= since) {
+            if let Some(value) = entry.payload.as_deref().and_then(|p| p.downcast_ref::<E>()) {
+                visit(value, &entry.event);
+            }
+        }
+    }
+
+    /// A typed journal view over this ring: what it records lands here,
+    /// and it reads back only its own events.
+    #[must_use]
+    pub fn journal<E: JournalEvent>(&self) -> Journal<E> {
+        Journal::over(self.clone())
     }
 
     /// Record one event carrying an explicit Lamport stamp — for wire
@@ -265,10 +314,16 @@ impl FlightRecorder {
         if !self.is_enabled() {
             return;
         }
-        self.push(kind, lamport, detail());
+        self.push(kind, lamport, detail(), None);
     }
 
-    fn push(&self, kind: RecordKind, lamport: u64, detail: String) {
+    fn push(
+        &self,
+        kind: RecordKind,
+        lamport: u64,
+        detail: String,
+        payload: Option<Box<dyn Any + Send + Sync>>,
+    ) {
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
         let event = RecordedEvent {
             seq,
@@ -282,12 +337,12 @@ impl FlightRecorder {
         if ring.len() == self.inner.capacity {
             ring.pop_front();
         }
-        ring.push_back(event);
+        ring.push_back(Entry { event, payload });
     }
 
     /// Snapshot of the retained window, oldest first.
     pub fn events(&self) -> Vec<RecordedEvent> {
-        self.inner.ring.lock().iter().cloned().collect()
+        self.inner.ring.lock().iter().map(|e| e.event.clone()).collect()
     }
 
     /// The last `n` retained events, oldest first. `tail(0)` returns an
@@ -302,19 +357,18 @@ impl FlightRecorder {
         let take = ring.len().min(n);
         let skip = ring.len() - take;
         let mut out = Vec::with_capacity(take);
-        out.extend(ring.iter().skip(skip).cloned());
+        out.extend(ring.iter().skip(skip).map(|e| e.event.clone()));
         out
     }
 
-    /// Detail strings of every retained event of `kind`, in causal order —
-    /// what oracle #11 compares against the node's `TraceLog`.
+    /// Detail strings of every retained event of `kind`, in causal order.
     pub fn details_of_kind(&self, kind: RecordKind) -> Vec<String> {
         self.inner
             .ring
             .lock()
             .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.detail.clone())
+            .filter(|e| e.event.kind == kind)
+            .map(|e| e.event.detail.clone())
             .collect()
     }
 
@@ -322,16 +376,7 @@ impl FlightRecorder {
     /// sequence numbers and virtual timestamps are simulation-driven, a
     /// pinned seed must reproduce this bit-identically (oracle #11).
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for event in self.inner.ring.lock().iter() {
-            for byte in event.render().as_bytes() {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= u64::from(b'\n');
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        fingerprint_of(self.inner.ring.lock().iter())
     }
 
     /// The black-box dump: header plus the retained window, one event per
@@ -349,23 +394,11 @@ impl FlightRecorder {
             ring.len(),
             total,
             self.inner.capacity,
-            {
-                // fingerprint() would deadlock on the held lock; fold inline.
-                let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-                for event in ring.iter() {
-                    for byte in event.render().as_bytes() {
-                        hash ^= u64::from(*byte);
-                        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                    hash ^= u64::from(b'\n');
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                hash
-            }
+            fingerprint_of(ring.iter())
         );
         match ring.front() {
-            Some(first) if first.seq > 0 => {
-                let _ = writeln!(out, "  ... {} earlier events evicted ...", first.seq);
+            Some(first) if first.event.seq > 0 => {
+                let _ = writeln!(out, "  ... {} earlier events evicted ...", first.event.seq);
             }
             // An empty ring dumps a self-describing marker instead of a
             // bare header (a recorder that never recorded and one whose
@@ -378,8 +411,8 @@ impl FlightRecorder {
             }
             Some(_) => {}
         }
-        for event in ring.iter() {
-            let _ = writeln!(out, "  {}", event.render());
+        for entry in ring.iter() {
+            let _ = writeln!(out, "  {}", entry.event.render());
         }
         out
     }

@@ -4,9 +4,9 @@
 //! machinery carries in `Request` service contexts: a trace id naming the
 //! causal tree, a span id naming this node of it, and the parent span id.
 //! [`SpanRecord`] is the recorder-side state: name, virtual-time interval
-//! (from `SimClock`, via the recorder's `TimeSource`), attributes, and
-//! point events with a global sequence number so cross-span orderings
-//! (e.g. the fig. 5 coordinator loop) survive tree reconstruction.
+//! (from `SimClock`, via the recorder's `TimeSource`) and attributes.
+//! Point-in-time protocol steps live in the node's flight recorder, which
+//! interleaves them with span open/close in emission order.
 
 use std::fmt;
 use std::time::Duration;
@@ -85,12 +85,6 @@ pub struct SpanRecord {
     pub end: Option<Duration>,
     /// Attributes in insertion order.
     pub attrs: Vec<(String, String)>,
-    /// Point events `(global sequence, text)`. The sequence numbers are
-    /// allocated from one recorder-wide counter, so events from different
-    /// spans can be merged back into their emission order — that merged
-    /// stream is the coordinator projection oracle #7 compares against
-    /// `TraceLog`.
-    pub events: Vec<(u64, String)>,
 }
 
 impl SpanRecord {
