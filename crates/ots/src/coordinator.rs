@@ -39,6 +39,7 @@ use parking_lot::Mutex;
 use recovery_log::{FailpointSet, Wal};
 use telemetry::{SpanContext, Telemetry};
 
+use crate::delivery::Delivery;
 use crate::error::TxError;
 use crate::journal::{ProtocolJournal, TwoPcEvent, VoteKind};
 use crate::resource::{Resource, SubtransactionAwareResource, Synchronization, Vote};
@@ -199,6 +200,12 @@ impl Coordinator {
         self.dispatch
     }
 
+    /// The context every participant delivery of this coordinator runs
+    /// under: participants on its log ride its decision force.
+    fn delivery(&self) -> Delivery {
+        Delivery::new(self.wal.as_ref(), &self.id)
+    }
+
     /// Apply `op` to every resource concurrently on `pool` and return the
     /// results in registration order, feeding `site`'s estimates. A
     /// participant panic is re-raised here at the panicking resource's
@@ -211,13 +218,16 @@ impl Coordinator {
         op: impl Fn(&dyn Resource, &TxId) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
         let op = Arc::new(op);
+        let delivery = self.delivery();
         let tasks: Vec<Box<dyn FnOnce() -> T + Send>> = resources
             .iter()
             .map(|resource| {
                 let resource = Arc::clone(resource);
                 let id = self.id.clone();
                 let op = Arc::clone(&op);
-                Box::new(move || op(resource.as_ref(), &id)) as Box<dyn FnOnce() -> T + Send>
+                let delivery = delivery.clone();
+                Box::new(move || delivery.run(|| op(resource.as_ref(), &id)))
+                    as Box<dyn FnOnce() -> T + Send>
             })
             .collect();
         // 2PC joins every result (votes before the decision, acknowledgements
@@ -248,6 +258,7 @@ impl Coordinator {
         clean: impl Fn(&T) -> bool,
     ) -> Vec<T> {
         let sequencer = self.sequencer.lock().clone();
+        let delivery = self.delivery();
         let mut batch = site.inline();
         let mut slots: Vec<Option<T>> = resources.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..resources.len()).collect();
@@ -262,7 +273,7 @@ impl Coordinator {
             };
             let index = pending.remove(slot);
             let resource = &resources[index];
-            let result = batch.time(|| op(resource.as_ref()));
+            let result = batch.time(|| delivery.run(|| op(resource.as_ref())));
             if let Some(seq) = &sequencer {
                 seq.report(stage, resource.resource_name(), clean(&result));
             }
@@ -618,6 +629,7 @@ impl Coordinator {
                 // walks registration order exactly as before.
                 let journal = self.journal.get();
                 let sequencer = self.sequencer.lock().clone();
+                let delivery = self.delivery();
                 let mut batch = PREPARE_SITE.inline();
                 let mut pending: Vec<usize> = (0..resources.len()).collect();
                 while !pending.is_empty() {
@@ -645,7 +657,7 @@ impl Coordinator {
                         ),
                         _ => None,
                     };
-                    let answer = batch.time(|| resource.prepare(&self.id));
+                    let answer = batch.time(|| delivery.run(|| resource.prepare(&self.id)));
                     if let (Some((t, _)), Some(span)) = (tel, vote_span.as_ref()) {
                         t.end(span);
                     }
@@ -759,9 +771,9 @@ impl Coordinator {
         if let Some(wal) = &self.wal {
             // Forcing discipline: this is the protocol's only awaited-durable
             // write. `log_decision_commit` forces via `append_durable`, so the
-            // earlier BEGUN/PREPARED records (and any interposed
-            // subcoordinator's) ride the same flush barrier under a
-            // group-commit log; the COMPLETED record below is free to lag —
+            // earlier BEGUN/PREPARED records (any interposed subcoordinator's,
+            // and the prepared records of participants on this log) ride the
+            // same flush barrier; the COMPLETED record below is free to lag —
             // presumed abort re-derives it on replay.
             txlog::log_decision_commit(wal.as_ref(), &self.id)?;
         }

@@ -6,20 +6,36 @@
 //! best strategy for their object's persistence." [`DurableKv`] is such an
 //! object implementer, done right:
 //!
-//! * **prepare** forces a redo record of the transaction's effects before
-//!   voting commit (the participant contract: a prepared participant must
-//!   survive a crash still able to commit *or* roll back);
-//! * **commit** forces a commit record and applies the effects;
+//! * **prepare** makes a redo record of the transaction's effects durable
+//!   before the vote can count (the participant contract: a prepared
+//!   participant must survive a crash still able to commit *or* roll back);
+//! * **commit** logs a commit record and applies the effects;
 //! * **recovery** ([`DurableKv::recover`]) rebuilds the committed state and
 //!   re-installs prepared-but-undecided workspaces, so the transaction
 //!   service's own recovery ([`crate::txlog::recover`]) can finish the job
 //!   by re-delivering the outcome.
+//!
+//! # Forcing
+//!
+//! A store on the very log its coordinator forces the decision on (the same
+//! `Arc`) appends its prepared and outcome records without a sync of its
+//! own: they ride the coordinator's barriers (the shared-log optimisation;
+//! see the `delivery` module). The prepared records precede the forced
+//! decision and the outcome records precede the completion record, and a
+//! log makes a prefix of its LSNs durable, so recovery still reaches the
+//! outcome the durable state dictates — at one sync per commit instead of
+//! one per participant per phase. Everywhere else the store forces each
+//! record before it answers: a coordinator on another log or none, another
+//! thread or an ORB hop, and outcomes re-delivered by recovery. A one-phase
+//! commit forces once, covering both of its records. Checkpoints are always
+//! forced.
 
 use std::sync::Arc;
 
 use orb::{Value, ValueMap};
 use recovery_log::{Lsn, Wal};
 
+use crate::delivery;
 use crate::error::TxError;
 use crate::memres::TransactionalKv;
 use crate::resource::{Resource, Vote};
@@ -203,14 +219,32 @@ impl DurableKv {
         Ok(())
     }
 
-    fn log_outcome(&self, kind: u32, tx: &TxId) -> Result<(), TxError> {
+    /// Append a record about `tx`: plainly when it rides the decision force
+    /// of the coordinator delivering on this thread, forced otherwise.
+    fn log(&self, kind: u32, tx: &TxId, record: &Value) -> Result<(), TxError> {
+        let payload = record.encode();
+        if delivery::rides_decision(&self.wal, tx) {
+            self.wal.append(kind, &payload)?;
+        } else {
+            self.wal.append_durable(kind, &payload)?;
+        }
+        Ok(())
+    }
+
+    fn prepared_record(&self, tx: &TxId) -> Value {
+        let effects = self.inner.prepared_effects(tx).unwrap_or_default();
         let mut m = ValueMap::new();
         m.insert("store".into(), Value::from(self.name()));
         m.insert("tx".into(), txid_to_value(tx));
-        // Durable before acking: under a group-commit log outcomes from
-        // concurrent transactions share one sync.
-        self.wal.append_durable(kind, &Value::Map(m).encode())?;
-        Ok(())
+        m.insert("effects".into(), effects_to_value(&effects));
+        Value::Map(m)
+    }
+
+    fn outcome_record(&self, tx: &TxId) -> Value {
+        let mut m = ValueMap::new();
+        m.insert("store".into(), Value::from(self.name()));
+        m.insert("tx".into(), txid_to_value(tx));
+        Value::Map(m)
     }
 }
 
@@ -226,14 +260,9 @@ impl Resource for DurableKv {
     fn prepare(&self, tx: &TxId) -> Result<Vote, TxError> {
         let vote = self.inner.prepare(tx)?;
         if vote == Vote::Commit {
-            let effects = self.inner.prepared_effects(tx).unwrap_or_default();
-            let mut m = ValueMap::new();
-            m.insert("store".into(), Value::from(self.name()));
-            m.insert("tx".into(), txid_to_value(tx));
-            m.insert("effects".into(), effects_to_value(&effects));
-            // Force the redo record BEFORE voting: the participant
-            // contract.
-            self.wal.append_durable(KIND_KV_PREPARED, &Value::Map(m).encode())?;
+            // The redo record is durable before the vote counts: forced
+            // here, or riding the coordinator's decision force.
+            self.log(KIND_KV_PREPARED, tx, &self.prepared_record(tx))?;
         }
         Ok(vote)
     }
@@ -242,21 +271,27 @@ impl Resource for DurableKv {
         // Idempotent like the inner store: a commit for an unknown tx is a
         // no-op and is not re-logged.
         if self.inner.prepared_effects(tx).is_some() {
-            self.log_outcome(KIND_KV_COMMITTED, tx)?;
+            self.log(KIND_KV_COMMITTED, tx, &self.outcome_record(tx))?;
         }
         self.inner.commit(tx)
     }
 
     fn rollback(&self, tx: &TxId) -> Result<(), TxError> {
         if self.inner.prepared_effects(tx).is_some() {
-            self.log_outcome(KIND_KV_ABORTED, tx)?;
+            self.log(KIND_KV_ABORTED, tx, &self.outcome_record(tx))?;
         }
         self.inner.rollback(tx)
     }
 
     fn commit_one_phase(&self, tx: &TxId) -> Result<(), TxError> {
-        match self.prepare(tx)? {
-            Vote::Commit => self.commit(tx),
+        match self.inner.prepare(tx)? {
+            Vote::Commit => {
+                // Nothing observes the vote, so the redo record rides the
+                // commit record's force: one sync for both.
+                self.wal.append(KIND_KV_PREPARED, &self.prepared_record(tx).encode())?;
+                self.wal.append_durable(KIND_KV_COMMITTED, &self.outcome_record(tx).encode())?;
+                self.inner.commit(tx)
+            }
             Vote::ReadOnly => Ok(()),
             Vote::Rollback => {
                 self.rollback(tx)?;
@@ -274,10 +309,195 @@ impl Resource for DurableKv {
 mod tests {
     use super::*;
     use crate::factory::TransactionFactory;
-    use recovery_log::{FailpointSet, MemWal};
+    use crate::DispatchConfig;
+    use recovery_log::{FailpointSet, LogError, LogRecord, MemWal};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn wal() -> Arc<dyn Wal> {
         Arc::new(MemWal::new())
+    }
+
+    /// An in-memory log that counts its durability barriers and how many
+    /// appends wait for the next one.
+    #[derive(Default)]
+    struct Barriers {
+        log: MemWal,
+        syncs: AtomicUsize,
+        unsynced: AtomicUsize,
+    }
+
+    impl Barriers {
+        fn syncs(&self) -> usize {
+            self.syncs.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Wal for Barriers {
+        fn append(&self, kind: u32, payload: &[u8]) -> Result<Lsn, LogError> {
+            self.unsynced.fetch_add(1, Ordering::SeqCst);
+            self.log.append(kind, payload)
+        }
+
+        fn scan(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
+            self.log.scan(from)
+        }
+
+        fn truncate_prefix(&self, upto: Lsn) -> Result<(), LogError> {
+            self.log.truncate_prefix(upto)
+        }
+
+        fn sync(&self) -> Result<(), LogError> {
+            self.syncs.fetch_add(1, Ordering::SeqCst);
+            self.unsynced.store(0, Ordering::SeqCst);
+            self.log.sync()
+        }
+
+        fn next_lsn(&self) -> Lsn {
+            self.log.next_lsn()
+        }
+    }
+
+    /// Commit one transaction writing `k` into each of `stores` through
+    /// `factory`, returning the transaction's outcome.
+    fn commit_across(
+        factory: &TransactionFactory,
+        stores: &[Arc<DurableKv>],
+        value: i64,
+    ) -> Result<crate::coordinator::TxOutcome, TxError> {
+        let control = factory.create().unwrap();
+        for kv in stores {
+            control.coordinator().register_resource(Arc::clone(kv) as Arc<dyn Resource>).unwrap();
+            kv.store().write(control.id(), "k", Value::I64(value)).unwrap();
+        }
+        control.terminator().commit()
+    }
+
+    fn three_stores(log: &Arc<dyn Wal>) -> Vec<Arc<DurableKv>> {
+        ["a", "b", "c"].iter().map(|name| DurableKv::new(*name, Arc::clone(log))).collect()
+    }
+
+    /// The inline and the pooled delivery paths.
+    fn dispatches() -> [DispatchConfig; 2] {
+        [DispatchConfig::serial(), DispatchConfig::with_workers(4)]
+    }
+
+    #[test]
+    fn shared_log_commit_takes_one_barrier() {
+        for dispatch in dispatches() {
+            let barriers = Arc::new(Barriers::default());
+            let log: Arc<dyn Wal> = Arc::clone(&barriers) as Arc<dyn Wal>;
+            let factory = TransactionFactory::with_wal(Arc::clone(&log)).with_dispatch(dispatch);
+            let stores = three_stores(&log);
+            commit_across(&factory, &stores, 7).unwrap();
+            assert_eq!(barriers.syncs(), 1, "{dispatch:?}: only the decision is forced");
+            for name in ["a", "b", "c"] {
+                let kv = DurableKv::recover(name, Arc::clone(&log)).unwrap();
+                assert_eq!(kv.store().read_committed("k"), Some(Value::I64(7)), "{name}");
+            }
+        }
+    }
+
+    /// Wraps a participant and notes, as each vote returns, how many of
+    /// the log's appends still await a barrier.
+    struct VoteProbe {
+        inner: Arc<DurableKv>,
+        log: Arc<Barriers>,
+        unsynced_at_vote: Arc<parking_lot::Mutex<Vec<usize>>>,
+    }
+
+    impl Resource for VoteProbe {
+        fn prepare(&self, tx: &TxId) -> Result<Vote, TxError> {
+            let vote = self.inner.prepare(tx);
+            self.unsynced_at_vote.lock().push(self.log.unsynced.load(Ordering::SeqCst));
+            vote
+        }
+
+        fn commit(&self, tx: &TxId) -> Result<(), TxError> {
+            self.inner.commit(tx)
+        }
+
+        fn rollback(&self, tx: &TxId) -> Result<(), TxError> {
+            self.inner.rollback(tx)
+        }
+
+        fn resource_name(&self) -> &str {
+            self.inner.resource_name()
+        }
+    }
+
+    #[test]
+    fn participants_on_a_foreign_log_force_before_voting() {
+        for dispatch in dispatches() {
+            let barriers = Arc::new(Barriers::default());
+            let log: Arc<dyn Wal> = Arc::clone(&barriers) as Arc<dyn Wal>;
+            let factory = TransactionFactory::with_wal(wal()).with_dispatch(dispatch);
+            let unsynced_at_vote = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let control = factory.create().unwrap();
+            for kv in three_stores(&log) {
+                kv.store().write(control.id(), "k", Value::I64(1)).unwrap();
+                let probe = VoteProbe {
+                    inner: kv,
+                    log: Arc::clone(&barriers),
+                    unsynced_at_vote: Arc::clone(&unsynced_at_vote),
+                };
+                control.coordinator().register_resource(Arc::new(probe)).unwrap();
+            }
+            control.terminator().commit().unwrap();
+            assert_eq!(barriers.syncs(), 6, "{dispatch:?}: prepared + outcome per participant");
+            if dispatch == DispatchConfig::serial() {
+                assert_eq!(*unsynced_at_vote.lock(), vec![0, 0, 0], "redo durable at each vote");
+            }
+        }
+    }
+
+    #[test]
+    fn a_coordinator_without_a_log_leaves_participants_forcing() {
+        for dispatch in dispatches() {
+            let barriers = Arc::new(Barriers::default());
+            let log: Arc<dyn Wal> = Arc::clone(&barriers) as Arc<dyn Wal>;
+            let factory = TransactionFactory::new().with_dispatch(dispatch);
+            commit_across(&factory, &three_stores(&log), 1).unwrap();
+            assert_eq!(barriers.syncs(), 6, "{dispatch:?}");
+        }
+    }
+
+    #[test]
+    fn outcomes_redelivered_by_recovery_are_forced() {
+        let barriers = Arc::new(Barriers::default());
+        let log: Arc<dyn Wal> = Arc::clone(&barriers) as Arc<dyn Wal>;
+        let failpoints = FailpointSet::new();
+        let factory =
+            TransactionFactory::with_wal(Arc::clone(&log)).with_failpoints(failpoints.clone());
+        failpoints.arm("ots.after_decision", 0);
+        commit_across(&factory, &three_stores(&log), 5).unwrap_err();
+        assert_eq!(barriers.syncs(), 1, "the decision alone was forced");
+
+        let stores: Vec<Arc<DurableKv>> = ["a", "b", "c"]
+            .iter()
+            .map(|name| DurableKv::recover(*name, Arc::clone(&log)).unwrap())
+            .collect();
+        let lookup = stores.clone();
+        let resolver = move |name: &str| -> Option<Arc<dyn Resource>> {
+            lookup.iter().find(|kv| kv.name() == name).map(|kv| Arc::clone(kv) as Arc<dyn Resource>)
+        };
+        let report = TransactionFactory::with_wal(Arc::clone(&log)).recover(&resolver).unwrap();
+        assert_eq!(report.recommitted.len(), 1);
+        assert_eq!(barriers.syncs(), 1 + 3, "each re-delivered outcome is forced");
+        for kv in &stores {
+            assert_eq!(kv.store().read_committed("k"), Some(Value::I64(5)));
+        }
+    }
+
+    #[test]
+    fn one_phase_commit_forces_once() {
+        let barriers = Arc::new(Barriers::default());
+        let log: Arc<dyn Wal> = Arc::clone(&barriers) as Arc<dyn Wal>;
+        let kv = DurableKv::new("solo", Arc::clone(&log));
+        commit_across(&TransactionFactory::new(), &[Arc::clone(&kv)], 3).unwrap();
+        assert_eq!(barriers.syncs(), 1, "the redo record rides the commit record's force");
+        assert_eq!(barriers.unsynced.load(Ordering::SeqCst), 0);
+        let kv = DurableKv::recover("solo", log).unwrap();
+        assert_eq!(kv.store().read_committed("k"), Some(Value::I64(3)));
     }
 
     #[test]

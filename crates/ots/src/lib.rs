@@ -49,6 +49,7 @@
 pub mod control;
 pub mod coordinator;
 pub mod current;
+mod delivery;
 pub mod durable;
 pub mod error;
 pub mod factory;

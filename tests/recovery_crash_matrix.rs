@@ -11,7 +11,7 @@ use activity_service::{
     FnAction, Outcome, Signal, SignalSetFactories,
 };
 use orb::{SimClock, Value};
-use ots::{Resource, TransactionFactory, TransactionalKv, TxError};
+use ots::{DurableKv, Resource, TransactionFactory, TransactionalKv, TxError};
 use recovery_log::{
     CrashingWal, FailpointSet, FileWal, GroupCommitWal, LogError, Lsn, MemWal, Wal,
 };
@@ -472,6 +472,166 @@ fn group_commit_sync_crash_during_decision_recovers_from_surviving_batch() {
     assert_eq!(report.recommitted.len(), 1, "the surviving decision must recommit");
     assert_eq!(store.read_committed("k"), Some(Value::from(1i64)));
     assert_eq!(witness.read_committed("w"), Some(Value::from(2i64)));
+}
+
+/// The shared-log matrix world: a factory and three `DurableKv` stores on
+/// ONE group-commit log, so the stores' prepared and outcome records ride
+/// the coordinator's decision force instead of forcing their own.
+struct SharedLog {
+    group: Arc<GroupCommitWal<CrashingWal<MemWal>>>,
+    wal: Arc<dyn Wal>,
+}
+
+const SHARED_STORES: [&str; 3] = ["orders", "stock", "audit"];
+
+impl SharedLog {
+    fn new(sink: CrashingWal<MemWal>) -> Self {
+        let group = Arc::new(GroupCommitWal::new(sink));
+        let wal = Arc::clone(&group) as Arc<dyn Wal>;
+        SharedLog { group, wal }
+    }
+
+    fn stores(&self) -> Vec<Arc<DurableKv>> {
+        SHARED_STORES.iter().map(|name| DurableKv::new(*name, Arc::clone(&self.wal))).collect()
+    }
+
+    /// One transaction writing `k = value` into every store: its id and
+    /// its commit's result.
+    fn commit(
+        factory: &TransactionFactory,
+        stores: &[Arc<DurableKv>],
+        value: i64,
+    ) -> (ots::TxId, Result<ots::coordinator::TxOutcome, TxError>) {
+        let control = factory.create().unwrap();
+        for kv in stores {
+            control.coordinator().register_resource(Arc::clone(kv) as Arc<dyn Resource>).unwrap();
+            kv.store().write(control.id(), "k", Value::from(value)).unwrap();
+        }
+        (control.id().clone(), control.terminator().commit())
+    }
+
+    /// Restart: drop the staged tail, rebuild every store from the log,
+    /// then let the transaction service re-deliver outcomes. Returns the
+    /// single value every store agrees on (all-or-nothing) and the
+    /// transactions recovery re-committed.
+    fn restart(&self) -> (Option<Value>, Vec<ots::TxId>) {
+        self.group.inner().defuse();
+        self.group.recover_from_sink();
+        let stores: Vec<Arc<DurableKv>> = SHARED_STORES
+            .iter()
+            .map(|name| DurableKv::recover(*name, Arc::clone(&self.wal)).unwrap())
+            .collect();
+        let lookup = stores.clone();
+        let resolver = move |name: &str| -> Option<Arc<dyn Resource>> {
+            lookup.iter().find(|kv| kv.name() == name).map(|kv| Arc::clone(kv) as Arc<dyn Resource>)
+        };
+        let report =
+            TransactionFactory::with_wal(Arc::clone(&self.wal)).recover(&resolver).unwrap();
+        assert!(report.unresolved.is_empty());
+        let values: Vec<Option<Value>> =
+            stores.iter().map(|kv| kv.store().read_committed("k")).collect();
+        assert!(
+            values.windows(2).all(|w| w[0] == w[1]),
+            "all-or-nothing across stores: {values:?}"
+        );
+        (values[0].clone(), report.recommitted)
+    }
+}
+
+/// Shared-log crash matrix, failpoint axis: an acknowledged commit, then a
+/// second commit crashed at every OTS failpoint. After the restart the
+/// stores agree, the acknowledged value reads back unless the crashed
+/// transaction's decision was durable, and that decision is exactly what
+/// decides the crashed transaction.
+#[test]
+fn shared_log_failpoint_matrix_is_all_or_nothing() {
+    for site in ots::failpoints::FAILPOINT_SITES {
+        let log = SharedLog::new(CrashingWal::with_sync_crash(MemWal::new(), u32::MAX));
+        let failpoints = FailpointSet::new();
+        let factory =
+            TransactionFactory::with_wal(Arc::clone(&log.wal)).with_failpoints(failpoints.clone());
+        let stores = log.stores();
+        SharedLog::commit(&factory, &stores, 1).1.unwrap();
+        failpoints.arm(*site, 0);
+        let (crashed, result) = SharedLog::commit(&factory, &stores, 2);
+        assert!(matches!(result, Err(TxError::Log(_))), "{site}: {result:?}");
+
+        let decided = [ots::failpoints::AFTER_DECISION, ots::failpoints::BEFORE_COMPLETION_RECORD]
+            .contains(site);
+        let (value, recommitted) = log.restart();
+        assert_eq!(
+            recommitted.contains(&crashed),
+            decided,
+            "{site}: recovery follows the durable decision"
+        );
+        let expected = if decided { 2i64 } else { 1 };
+        assert_eq!(value, Some(Value::from(expected)), "{site}");
+    }
+}
+
+/// Shared-log crash matrix, sync axis: the group-commit barrier fails at
+/// each sync index in turn. Every acknowledged commit reads back; the
+/// transaction whose decision barrier failed is all-or-nothing (its batch
+/// reached the sink before the sync failed, so it may survive).
+#[test]
+fn shared_log_sync_crash_matrix_keeps_every_acknowledged_commit() {
+    const COMMITS: i64 = 3;
+    for syncs_before_crash in 0..=COMMITS as u32 {
+        let log = SharedLog::new(CrashingWal::with_sync_crash(MemWal::new(), syncs_before_crash));
+        let factory = TransactionFactory::with_wal(Arc::clone(&log.wal));
+        let stores = log.stores();
+        let mut acked = None;
+        let mut crashed = None;
+        for value in 1..=COMMITS {
+            match SharedLog::commit(&factory, &stores, value).1 {
+                Ok(_) => acked = Some(value),
+                Err(_) => {
+                    crashed = Some(value);
+                    break;
+                }
+            }
+        }
+        assert_eq!(
+            acked.unwrap_or(0),
+            i64::from(syncs_before_crash),
+            "one barrier per shared-log commit"
+        );
+        let (value, _) = log.restart();
+        let value = value.map(|v| v.as_i64().unwrap());
+        assert!(
+            value == acked || (crashed.is_some() && value == crashed),
+            "cell {syncs_before_crash}: acked {acked:?}, crashed {crashed:?}, read {value:?}"
+        );
+    }
+}
+
+/// Cross-log guard: the coordinator logs on one log, the stores on a
+/// separate group-commit log. The stores' records cannot ride a decision
+/// forced elsewhere, so an acknowledged commit must survive the stores'
+/// log losing its staged tail.
+#[test]
+fn participants_on_a_separate_log_keep_acknowledged_commits() {
+    for dispatch in [ots::DispatchConfig::serial(), ots::DispatchConfig::with_workers(4)] {
+        let coordinator_log: Arc<dyn Wal> = Arc::new(MemWal::new());
+        let participant_group = Arc::new(GroupCommitWal::new(MemWal::new()));
+        let participant_log = Arc::clone(&participant_group) as Arc<dyn Wal>;
+        let factory = TransactionFactory::with_wal(coordinator_log).with_dispatch(dispatch);
+        let stores: Vec<Arc<DurableKv>> = SHARED_STORES
+            .iter()
+            .map(|name| DurableKv::new(*name, Arc::clone(&participant_log)))
+            .collect();
+        SharedLog::commit(&factory, &stores, 9).1.unwrap();
+
+        participant_group.recover_from_sink();
+        for name in SHARED_STORES {
+            let kv = DurableKv::recover(name, Arc::clone(&participant_log)).unwrap();
+            assert_eq!(
+                kv.store().read_committed("k"),
+                Some(Value::from(9i64)),
+                "{dispatch:?} {name}"
+            );
+        }
+    }
 }
 
 /// Concurrent-committer durability stress: 16 threads each force 25 records
