@@ -4,10 +4,10 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use orb::detector::FailureDetector;
+use orb::SnapshotCell;
 use parking_lot::Mutex;
 use recovery_log::FailpointSet;
 use telemetry::{SpanContext, Telemetry, MSC_FROM, MSC_MSG, MSC_REPLY, MSC_TO};
@@ -55,6 +55,34 @@ struct CoordinatorInner {
     sets: HashMap<String, Option<SetEntry>>,
 }
 
+/// The coordinator's optional collaborators and its fan-out policy: read
+/// once per protocol run, replaced by every `set_*` call.
+#[derive(Clone, Default)]
+struct Hooks {
+    dispatch: DispatchConfig,
+    failpoints: Option<FailpointSet>,
+    detector: Option<FailureDetector>,
+    telemetry: Option<Telemetry>,
+    trace: Option<TraceLog>,
+}
+
+impl Hooks {
+    fn hit_failpoint(&self, site: &str) -> Result<(), ActivityError> {
+        match &self.failpoints {
+            Some(fp) => fp.hit(site).map_err(ActivityError::from),
+            None => Ok(()),
+        }
+    }
+
+    /// Record one protocol step into the trace log; with no trace attached
+    /// (the common case) the event is never built.
+    fn record(&self, event: impl FnOnce() -> TraceEvent) {
+        if let Some(trace) = &self.trace {
+            trace.record(event);
+        }
+    }
+}
+
 /// Coordinates one activity's protocol runs.
 ///
 /// The coordinator owns the fig. 5 loop: ask the SignalSet for a signal,
@@ -64,17 +92,7 @@ struct CoordinatorInner {
 pub struct ActivityCoordinator {
     activity: ActivityId,
     inner: Mutex<CoordinatorInner>,
-    trace: Mutex<Option<TraceLog>>,
-    /// Lock-free gate for [`ActivityCoordinator::record`]: protocol steps
-    /// skip the trace mutex entirely while no trace is attached.
-    trace_on: AtomicBool,
-    dispatch: Mutex<DispatchConfig>,
-    failpoints: Mutex<Option<FailpointSet>>,
-    detector: Mutex<Option<FailureDetector>>,
-    telemetry: Mutex<Option<Telemetry>>,
-    /// Lock-free gate mirroring `trace_on`: protocol steps skip the
-    /// telemetry mutex entirely while no recorder is attached.
-    telemetry_on: AtomicBool,
+    hooks: SnapshotCell<Hooks>,
 }
 
 impl std::fmt::Debug for ActivityCoordinator {
@@ -108,13 +126,7 @@ impl ActivityCoordinator {
                 registrations: HashMap::new(),
                 sets: HashMap::new(),
             }),
-            trace: Mutex::new(None),
-            trace_on: AtomicBool::new(false),
-            dispatch: Mutex::new(dispatch),
-            failpoints: Mutex::new(None),
-            detector: Mutex::new(None),
-            telemetry: Mutex::new(None),
-            telemetry_on: AtomicBool::new(false),
+            hooks: SnapshotCell::new(Hooks { dispatch, ..Hooks::default() }),
         }
     }
 
@@ -126,37 +138,19 @@ impl ActivityCoordinator {
     /// Workflow and saga layers use the same detector to reroute work or
     /// compensate early.
     pub fn set_detector(&self, detector: FailureDetector) {
-        *self.detector.lock() = Some(detector);
-    }
-
-    /// The attached failure detector, if any.
-    pub fn detector(&self) -> Option<FailureDetector> {
-        self.detector.lock().clone()
+        self.hooks.update(|hooks| hooks.detector = Some(detector));
     }
 
     /// Attach a (shared) failpoint set; the protocol loop hits the sites in
     /// [`failpoints`] so crash-matrix and simulation tests can kill the
     /// coordinator at any fig. 5 step.
     pub fn set_failpoints(&self, failpoints: FailpointSet) {
-        *self.failpoints.lock() = Some(failpoints);
-    }
-
-    fn hit_failpoint(&self, site: &str) -> Result<(), ActivityError> {
-        let fp = self.failpoints.lock().clone();
-        match fp {
-            Some(fp) => fp.hit(site).map_err(ActivityError::from),
-            None => Ok(()),
-        }
+        self.hooks.update(|hooks| hooks.failpoints = Some(failpoints));
     }
 
     /// Change the fan-out policy for subsequent protocol runs.
     pub fn set_dispatch_config(&self, dispatch: DispatchConfig) {
-        *self.dispatch.lock() = dispatch;
-    }
-
-    /// The current fan-out policy.
-    pub fn dispatch_config(&self) -> DispatchConfig {
-        *self.dispatch.lock()
+        self.hooks.update(|hooks| hooks.dispatch = dispatch);
     }
 
     /// The owning activity's id.
@@ -164,10 +158,10 @@ impl ActivityCoordinator {
         self.activity
     }
 
-    /// Attach a trace log; every subsequent protocol step is recorded.
+    /// Attach a trace log; every step of subsequent protocol runs is
+    /// recorded.
     pub fn set_trace(&self, trace: TraceLog) {
-        *self.trace.lock() = Some(trace);
-        self.trace_on.store(true, Ordering::Release);
+        self.hooks.update(|hooks| hooks.trace = Some(trace));
     }
 
     /// Attach a telemetry recorder: every subsequent protocol run becomes
@@ -175,15 +169,7 @@ impl ActivityCoordinator {
     /// With the trace and the telemetry on one flight recorder, the ring
     /// interleaves span open/close with the trace lines in emission order.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.lock() = Some(telemetry);
-        self.telemetry_on.store(true, Ordering::Release);
-    }
-
-    fn telemetry_handle(&self) -> Option<Telemetry> {
-        if !self.telemetry_on.load(Ordering::Acquire) {
-            return None;
-        }
-        self.telemetry.lock().clone().filter(Telemetry::is_enabled)
+        self.hooks.update(|hooks| hooks.telemetry = Some(telemetry));
     }
 
     /// Associate a signal set with this activity, keyed by its
@@ -325,13 +311,14 @@ impl ActivityCoordinator {
         // attempts) parent under it via the ORB interceptors, and it is
         // closed on *every* exit path — a crash-failpoint error must not
         // leak an open span (oracle #7 rejects never-closed spans).
-        let scope = self.telemetry_handle().map(|t| {
+        let hooks = self.hooks.load();
+        let scope = hooks.telemetry.as_ref().filter(|t| t.is_enabled()).map(|t| {
             let span = t.start_span(&format!("signal_set:{set_name}"));
             t.set_attr(&span, "activity", &self.activity.to_string());
             t.enter(span);
             (t, span)
         });
-        let result = self.drive(set_name, &mut entry, scope.as_ref());
+        let result = self.drive(&hooks, set_name, &mut entry, scope.as_ref());
         if let Some((t, span)) = scope {
             match &result {
                 Ok(outcome) => t.set_attr(&span, "outcome", outcome.name()),
@@ -349,20 +336,20 @@ impl ActivityCoordinator {
 
     fn drive(
         &self,
+        hooks: &Hooks,
         set_name: &str,
         entry: &mut SetEntry,
-        tel: Option<&(Telemetry, SpanContext)>,
+        tel: Option<&(&Telemetry, SpanContext)>,
     ) -> Result<Outcome, ActivityError> {
-        let config = *self.dispatch.lock();
-        let detector = self.detector.lock().clone();
+        let detector = &hooks.detector;
         let mut signal_seq = 0u64;
         // Reused across signals: delivery-id stamping formats into this
         // buffer instead of allocating a fresh growth-by-doubling String
         // per signal.
         let mut id_buf = String::new();
         loop {
-            self.hit_failpoint(failpoints::BEFORE_GET_SIGNAL)?;
-            self.record(|| TraceEvent::GetSignal { set: set_name.to_owned() });
+            hooks.hit_failpoint(failpoints::BEFORE_GET_SIGNAL)?;
+            hooks.record(|| TraceEvent::GetSignal { set: set_name.to_owned() });
             let next = entry.set.get_signal();
             entry.state = entry
                 .state
@@ -399,7 +386,7 @@ impl ActivityCoordinator {
             // probe slots). At-least-once semantics make the skip sound:
             // it is indistinguishable from the transport dropping every
             // copy of this delivery.
-            let actions: Arc<[Arc<dyn Action>]> = match &detector {
+            let actions: Arc<[Arc<dyn Action>]> = match detector {
                 Some(detector) => {
                     let kept: Vec<Arc<dyn Action>> = actions
                         .iter()
@@ -410,7 +397,7 @@ impl ActivityCoordinator {
                 }
                 None => actions,
             };
-            self.hit_failpoint(failpoints::BEFORE_TRANSMIT)?;
+            hooks.hit_failpoint(failpoints::BEFORE_TRANSMIT)?;
             // Fan out. The set's responses are fed in registration order
             // regardless of the fan-out width, so protocol decisions and
             // traces are identical to a serial run; `RequestNext` breaks
@@ -426,7 +413,7 @@ impl ActivityCoordinator {
             // thread, so one slot is enough even under parallel fan-out.
             let open_transmit: Cell<Option<SpanContext>> = Cell::new(None);
             let request_next = dispatch::dispatch_signal(
-                config,
+                hooks.dispatch,
                 &actions,
                 &signal,
                 |action| {
@@ -443,14 +430,14 @@ impl ActivityCoordinator {
                             .incr(&format!("signals_transmitted_total{{set=\"{set_name}\"}}"));
                         span
                     });
-                    self.record(|| TraceEvent::Transmit {
+                    hooks.record(|| TraceEvent::Transmit {
                         signal: signal.name().to_owned(),
                         action: action.name().to_owned(),
                     });
                     open_transmit.set(span);
                 },
                 |outcome| {
-                    if let Some(detector) = &detector {
+                    if let Some(detector) = detector {
                         if let Some(action) = actions.get(collated) {
                             if outcome.name() == crate::outcome::OUTCOME_ERROR {
                                 detector.record_failure(action.name());
@@ -460,7 +447,7 @@ impl ActivityCoordinator {
                         }
                     }
                     collated += 1;
-                    self.record(|| TraceEvent::SetResponse {
+                    hooks.record(|| TraceEvent::SetResponse {
                         set: set_name.to_owned(),
                         outcome: outcome.name().to_owned(),
                     });
@@ -479,26 +466,13 @@ impl ActivityCoordinator {
             }
         }
         entry.state.check_outcome_readable(set_name)?;
-        self.hit_failpoint(failpoints::BEFORE_OUTCOME)?;
+        hooks.hit_failpoint(failpoints::BEFORE_OUTCOME)?;
         let outcome = entry.set.get_outcome();
-        self.record(|| TraceEvent::GetOutcome {
+        hooks.record(|| TraceEvent::GetOutcome {
             set: set_name.to_owned(),
             outcome: outcome.name().to_owned(),
         });
         Ok(outcome)
-    }
-
-    /// Record one protocol step into the trace log.
-    fn record(&self, event: impl FnOnce() -> TraceEvent) {
-        // Fast path: with no trace attached (the common case for
-        // production coordinators) this is one relaxed-ish atomic load —
-        // no mutex, no event construction.
-        if !self.trace_on.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(trace) = self.trace.lock().as_ref() {
-            trace.record(event);
-        }
     }
 }
 

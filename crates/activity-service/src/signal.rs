@@ -10,11 +10,15 @@
 //! };
 //! ```
 //!
-//! The CORBA `any` is rendered as [`orb::Value`].
+//! The CORBA `any` is rendered as [`orb::Value`]. On the wire (what a
+//! [`crate::RemoteActionProxy`] sends) a signal is the positional list
+//! `[name, set, data, delivery]`, `delivery` being the id or `Null`:
+//! positions rather than map keys spare four key strings and the map nodes
+//! on both ends of every delivery.
 
 use std::fmt;
 
-use orb::{Value, ValueMap};
+use orb::Value;
 
 use crate::error::ActivityError;
 
@@ -79,16 +83,11 @@ impl Signal {
         &self.data
     }
 
-    /// Serialise for transport/logging.
+    /// Serialise for transport, in the wire form of the module docs.
     pub fn to_value(&self) -> Value {
-        let mut m = ValueMap::new();
-        m.insert("name".into(), Value::Str(self.name.clone()));
-        m.insert("set".into(), Value::Str(self.signal_set_name.clone()));
-        m.insert("data".into(), self.data.clone());
-        if let Some(id) = &self.delivery_id {
-            m.insert("delivery".into(), Value::Str(id.clone()));
-        }
-        Value::Map(m)
+        let delivery = self.delivery_id.clone().map_or(Value::Null, Value::Str);
+        let (name, set) = (self.name.clone(), self.signal_set_name.clone());
+        Value::List(vec![Value::Str(name), Value::Str(set), self.data.clone(), delivery])
     }
 
     /// Inverse of [`Signal::to_value`].
@@ -97,20 +96,17 @@ impl Signal {
     ///
     /// Returns [`ActivityError::Context`] on malformed input.
     pub fn from_value(value: &Value) -> Result<Self, ActivityError> {
-        let m = value
-            .as_map()
-            .ok_or_else(|| ActivityError::Context("signal must be a map".into()))?;
-        let name = m
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ActivityError::Context("signal missing name".into()))?;
-        let set = m
-            .get("set")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ActivityError::Context("signal missing set".into()))?;
-        let data = m.get("data").cloned().unwrap_or(Value::Null);
-        let delivery_id = m.get("delivery").and_then(Value::as_str).map(str::to_owned);
-        Ok(Signal { name: name.to_owned(), signal_set_name: set.to_owned(), data, delivery_id })
+        let malformed = || ActivityError::Context(format!("malformed signal: {value}"));
+        let Some([Value::Str(name), Value::Str(set), data, delivery]) = value.as_list() else {
+            return Err(malformed());
+        };
+        let delivery_id = match delivery {
+            Value::Null => None,
+            Value::Str(id) => Some(id.clone()),
+            _ => return Err(malformed()),
+        };
+        let (name, signal_set_name, data) = (name.clone(), set.clone(), data.clone());
+        Ok(Signal { name, signal_set_name, data, delivery_id })
     }
 }
 
@@ -134,21 +130,47 @@ mod tests {
 
     #[test]
     fn value_roundtrip() {
-        let s = Signal::new("outcome", "Completed").with_data(Value::from("done"));
-        let v = s.to_value();
-        let back = Signal::from_value(&v).unwrap();
-        assert_eq!(back, s);
-        // Through the binary codec too.
-        let decoded = Value::decode(&v.encode()).unwrap();
-        assert_eq!(Signal::from_value(&decoded).unwrap(), s);
+        let plain = Signal::new("outcome", "Completed").with_data(Value::from("done"));
+        let stamped = plain.clone().with_delivery_id("act-1:Completed:1");
+        for s in [plain, stamped] {
+            let v = s.to_value();
+            let back = Signal::from_value(&v).unwrap();
+            assert_eq!(back, s);
+            // Through the binary codec too.
+            let decoded = Value::decode(&v.encode()).unwrap();
+            assert_eq!(Signal::from_value(&decoded).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn wire_form_is_positional() {
+        let s = Signal::new("prepare", "2pc").with_data(Value::from(5i64)).with_delivery_id("d-1");
+        assert_eq!(
+            s.to_value(),
+            Value::List(vec![
+                Value::from("prepare"),
+                Value::from("2pc"),
+                Value::from(5i64),
+                Value::from("d-1"),
+            ])
+        );
+        assert_eq!(Signal::new("a", "b").to_value().as_list().map(<[Value]>::len), Some(4));
     }
 
     #[test]
     fn from_value_rejects_malformed() {
         assert!(Signal::from_value(&Value::Null).is_err());
-        let mut m = ValueMap::new();
-        m.insert("name".into(), Value::from("x"));
-        assert!(Signal::from_value(&Value::Map(m)).is_err(), "missing set");
+        let short = Value::List(vec![Value::from("x"), Value::from("set"), Value::Null]);
+        assert!(Signal::from_value(&short).is_err(), "missing delivery slot");
+        let unnamed = Value::List(vec![Value::Null, Value::from("set"), Value::Null, Value::Null]);
+        assert!(Signal::from_value(&unnamed).is_err(), "name must be a string");
+        let bad_id = Value::List(vec![
+            Value::from("x"),
+            Value::from("set"),
+            Value::Null,
+            Value::from(1i64),
+        ]);
+        assert!(Signal::from_value(&bad_id).is_err(), "delivery must be a string or null");
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! [`FailureDetector::on_quarantine`].
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -111,6 +112,9 @@ struct DetectorInner {
     clock: SimClock,
     config: DetectorConfig,
     participants: Mutex<HashMap<String, Participant>>,
+    /// Set by the first recorded failure. Until then every participant is
+    /// healthy, and successes and skip checks return without the lock.
+    any_failure: AtomicBool,
     hooks: Mutex<Vec<QuarantineHook>>,
     telemetry: Mutex<Option<telemetry::Telemetry>>,
     recorder: OnceLock<telemetry::FlightRecorder>,
@@ -152,6 +156,7 @@ impl FailureDetector {
                 clock,
                 config,
                 participants: Mutex::new(HashMap::new()),
+                any_failure: AtomicBool::new(false),
                 hooks: Mutex::new(Vec::new()),
                 telemetry: Mutex::new(None),
                 recorder: OnceLock::new(),
@@ -204,6 +209,9 @@ impl FailureDetector {
     /// (an absent entry already means healthy with zero suspicion), so the
     /// fault-free fast path allocates nothing.
     pub fn record_success(&self, who: &str) {
+        if !self.inner.any_failure.load(Ordering::Acquire) {
+            return;
+        }
         let was = {
             let mut participants = self.inner.participants.lock();
             match participants.get_mut(who) {
@@ -227,6 +235,7 @@ impl FailureDetector {
     pub fn record_failure(&self, who: &str) {
         let (was, now) = {
             let mut participants = self.inner.participants.lock();
+            self.inner.any_failure.store(true, Ordering::Release);
             let entry = participants.entry(who.to_owned()).or_insert_with(Participant::new);
             entry.consecutive_failures = entry.consecutive_failures.saturating_add(1);
             let was = entry.status;
@@ -277,6 +286,9 @@ impl FailureDetector {
     /// half-open probe — this call *claims* the probe slot and re-arms the
     /// timer), `true` otherwise.
     pub fn should_skip(&self, who: &str) -> bool {
+        if !self.inner.any_failure.load(Ordering::Acquire) {
+            return false;
+        }
         let mut participants = self.inner.participants.lock();
         let Some(entry) = participants.get_mut(who) else { return false };
         if entry.status != HealthStatus::Quarantined {

@@ -63,6 +63,7 @@ pub mod object;
 pub mod pool;
 pub mod registry;
 pub mod retry;
+pub mod snapshot;
 pub mod value;
 
 pub use choice::{DeliverySequencer, RegistrationOrder};
@@ -83,4 +84,5 @@ pub use retry::RetryPolicy;
 pub use object::{ObjectId, ObjectRef, Servant};
 pub use pool::{CancelToken, DispatchConfig, OrderedResults, TaskOutcome, WorkerPool};
 pub use registry::NameRegistry;
+pub use snapshot::SnapshotCell;
 pub use value::{Value, ValueMap};

@@ -13,9 +13,9 @@ pub struct Request {
     args: ValueMap,
     contexts: ServiceContext,
     delivery_id: Option<String>,
-    /// Route stamped by the invoke path before client interceptors run:
-    /// source node name and target node name. Interceptors (e.g. the
-    /// Lamport pair) read these to pick the right per-node state.
+    /// Route stamped by the invoke path before client interceptors run, when
+    /// any are installed: source and target node names. Interceptors (e.g.
+    /// the Lamport pair) read these to pick the right per-node state.
     source: Option<String>,
     target: Option<String>,
 }
@@ -61,7 +61,7 @@ impl Request {
     }
 
     /// Stamp the route (source and target node names). The invoke path
-    /// calls this once, before the client interceptors run.
+    /// calls this once per call that an interceptor will see.
     pub fn set_route(&mut self, source: impl Into<String>, target: impl Into<String>) {
         self.source = Some(source.into());
         self.target = Some(target.into());
@@ -152,7 +152,7 @@ mod tests {
         assert!(req.delivery_id().is_none());
         let mut req = req.with_delivery_id("coordinator#7");
         assert_eq!(req.delivery_id(), Some("coordinator#7"));
-        // Retries clone the stamped request: the id rides along.
+        // A copy of the stamped request carries the same id.
         assert_eq!(req.clone().delivery_id(), Some("coordinator#7"));
         req.set_delivery_id("coordinator#8");
         assert_eq!(req.delivery_id(), Some("coordinator#8"));

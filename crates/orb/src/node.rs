@@ -21,6 +21,7 @@ use crate::network::{Delivery, NetworkConfig, SimulatedNetwork};
 use crate::object::{ObjectId, ObjectRef, Servant};
 use crate::registry::NameRegistry;
 use crate::retry::RetryPolicy;
+use crate::snapshot::SnapshotCell;
 
 /// Source name for a caller of [`Orb::invoke`] that sits on no node (e.g. a
 /// test driver outside the simulation).
@@ -107,17 +108,23 @@ impl Node {
     }
 }
 
+/// Everything the invoke path reads besides the node table: read once per
+/// logical call, replaced by every `add_*`/`set_*`/`install_*` call.
+#[derive(Clone, Default)]
+struct Hooks {
+    client: Arc<[Arc<dyn ClientRequestInterceptor>]>,
+    server: Arc<[Arc<dyn ServerRequestInterceptor>]>,
+    detector: Option<FailureDetector>,
+    telemetry: Option<Telemetry>,
+}
+
 struct OrbInner {
     network: SimulatedNetwork,
     nodes: RwLock<HashMap<String, Arc<NodeInner>>>,
     node_seq: AtomicU64,
-    client_interceptors: RwLock<Vec<Arc<dyn ClientRequestInterceptor>>>,
-    server_interceptors: RwLock<Vec<Arc<dyn ServerRequestInterceptor>>>,
     registry: NameRegistry,
     delivery_seq: AtomicU64,
-    detector: RwLock<Option<FailureDetector>>,
-    telemetry: RwLock<Option<Telemetry>>,
-    causality: RwLock<Option<CausalityPlane>>,
+    hooks: SnapshotCell<Hooks>,
 }
 
 impl fmt::Debug for OrbInner {
@@ -184,13 +191,9 @@ impl OrbBuilder {
                 network: SimulatedNetwork::new(self.config, clock),
                 nodes: RwLock::new(HashMap::new()),
                 node_seq: AtomicU64::new(1),
-                client_interceptors: RwLock::new(Vec::new()),
-                server_interceptors: RwLock::new(Vec::new()),
                 registry: NameRegistry::new(),
                 delivery_seq: AtomicU64::new(1),
-                detector: RwLock::new(None),
-                telemetry: RwLock::new(None),
-                causality: RwLock::new(None),
+                hooks: SnapshotCell::default(),
             }),
         };
         if let Some(telemetry) = self.telemetry {
@@ -270,12 +273,12 @@ impl Orb {
 
     /// Register a client-side interceptor (runs on every outgoing request).
     pub fn add_client_interceptor(&self, interceptor: Arc<dyn ClientRequestInterceptor>) {
-        self.inner.client_interceptors.write().push(interceptor);
+        self.inner.hooks.update(|h| h.client = [&h.client[..], &[interceptor]].concat().into());
     }
 
     /// Register a server-side interceptor (runs on every incoming request).
     pub fn add_server_interceptor(&self, interceptor: Arc<dyn ServerRequestInterceptor>) {
-        self.inner.server_interceptors.write().push(interceptor);
+        self.inner.hooks.update(|h| h.server = [&h.server[..], &[interceptor]].concat().into());
     }
 
     /// Invoke `object` on behalf of node `from` ([`EXTERNAL_CALLER`] for a
@@ -285,13 +288,15 @@ impl Orb {
     /// The request is stamped with a [`Request::delivery_id`] once per
     /// *logical* call, before the first attempt, so every retry and every
     /// network duplicate shares the id and dedup-guarded receivers process
-    /// the call effect-once. Every attempt takes the same steps: an
-    /// `attempt:` span when telemetry is installed, the client
-    /// interceptors, the transport, and evidence about the target node for
-    /// the attached [`FailureDetector`] (if any). Retryable transport
-    /// failures are re-attempted under `policy`, so the servant may run
-    /// **more than once** for one logical call — the at-least-once delivery
-    /// the paper specifies for Signals (§3.4), which is why Actions must be
+    /// the call effect-once. The one request serves every attempt, each
+    /// starting from the caller's service contexts (the only part
+    /// interceptors write), and takes the same steps: an `attempt:` span
+    /// when telemetry is enabled, the client interceptors, the transport,
+    /// and evidence about the target node for the attached
+    /// [`FailureDetector`] (if any). Retryable transport failures are
+    /// re-attempted under `policy`, so the servant may run **more than
+    /// once** for one logical call — the at-least-once delivery the paper
+    /// specifies for Signals (§3.4), which is why Actions must be
     /// idempotent.
     ///
     /// # Errors
@@ -311,36 +316,40 @@ impl Orb {
             let seq = self.inner.delivery_seq.fetch_add(1, Ordering::Relaxed);
             request.set_delivery_id(format!("{from}#{seq}"));
         }
-        request.set_route(from, object.node());
-        let delivery_id = request.delivery_id().expect("stamped above");
-        let operation = request.operation();
-        let detector = self.inner.detector.read().clone();
-        let telemetry = self.inner.telemetry.read().clone();
-        policy.run(self.clock(), operation, delivery_id, |attempt| {
+        let hooks = self.inner.hooks.load();
+        // The route's only readers are interceptors (the Lamport pair).
+        if !hooks.client.is_empty() || !hooks.server.is_empty() {
+            request.set_route(from, object.node());
+        }
+        let caller_contexts = (!hooks.client.is_empty()).then(|| request.contexts().clone());
+        policy.run(self.clock(), &mut request, |request, attempt| {
+            if let Some(contexts) = caller_contexts.as_ref().filter(|_| attempt > 0) {
+                request.contexts_mut().clone_from(contexts);
+            }
             // Each attempt is its own span, tagged with the shared logical
             // delivery id; re-attempts (attempt > 0) bump the retry
             // counter. Both are single-atomic-load no-ops when telemetry
             // is absent or disabled.
-            let span = telemetry.as_ref().filter(|t| t.is_enabled()).map(|t| {
+            let span = hooks.telemetry.as_ref().filter(|t| t.is_enabled()).map(|t| {
                 if attempt > 0 {
                     t.metrics().incr("retry_attempts_total");
                 }
-                let span = t.start_span(&format!("attempt:{operation}"));
-                t.set_attr(&span, "delivery_id", delivery_id);
+                let span = t.start_span(&format!("attempt:{}", request.operation()));
+                t.set_attr(&span, "delivery_id", request.delivery_id().unwrap_or_default());
                 t.set_attr(&span, "attempt", &attempt.to_string());
                 t.set_attr(&span, "to", object.node());
                 t.enter(span);
                 span
             });
-            let result = self.inner.attempt(from, object, request.clone());
-            if let (Some(telemetry), Some(span)) = (&telemetry, &span) {
+            let result = self.inner.attempt(&hooks, from, object, request);
+            if let (Some(telemetry), Some(span)) = (&hooks.telemetry, &span) {
                 if let Err(e) = &result {
                     telemetry.set_attr(span, "error", &e.to_string());
                 }
                 telemetry.exit();
                 telemetry.end(span);
             }
-            if let Some(detector) = &detector {
+            if let Some(detector) = &hooks.detector {
                 match &result {
                     Ok(_) => detector.record_success(object.node()),
                     Err(e) if e.is_retryable() => detector.record_failure(object.node()),
@@ -356,15 +365,12 @@ impl Orb {
     /// installed, the detector's state transitions are counted in the
     /// metrics registry.
     pub fn set_detector(&self, detector: FailureDetector) {
-        if let Some(telemetry) = self.inner.telemetry.read().as_ref() {
-            detector.set_telemetry(telemetry.clone());
-        }
-        *self.inner.detector.write() = Some(detector);
-    }
-
-    /// The attached failure detector, if any.
-    pub fn detector(&self) -> Option<FailureDetector> {
-        self.inner.detector.read().clone()
+        self.inner.hooks.update(|hooks| {
+            if let Some(telemetry) = &hooks.telemetry {
+                detector.set_telemetry(telemetry.clone());
+            }
+            hooks.detector = Some(detector);
+        });
     }
 
     /// Install a telemetry recorder: registers the
@@ -374,16 +380,13 @@ impl Orb {
     pub fn install_telemetry(&self, telemetry: Telemetry) {
         self.add_client_interceptor(Arc::new(SpanClientInterceptor::new(telemetry.clone())));
         self.add_server_interceptor(Arc::new(SpanServerInterceptor::new(telemetry.clone())));
-        if let Some(detector) = self.inner.detector.read().as_ref() {
-            detector.set_telemetry(telemetry.clone());
-        }
         self.inner.network.set_telemetry(telemetry.clone());
-        *self.inner.telemetry.write() = Some(telemetry);
-    }
-
-    /// The installed telemetry recorder, if any.
-    pub fn telemetry(&self) -> Option<Telemetry> {
-        self.inner.telemetry.read().clone()
+        self.inner.hooks.update(|hooks| {
+            if let Some(detector) = &hooks.detector {
+                detector.set_telemetry(telemetry.clone());
+            }
+            hooks.telemetry = Some(telemetry);
+        });
     }
 
     /// Install the §16 causal plane: registers the
@@ -395,13 +398,7 @@ impl Orb {
     /// [`telemetry::FlightRecorder::record`] ticks share one clock.
     pub fn install_causality(&self, plane: CausalityPlane) {
         self.add_client_interceptor(Arc::new(LamportClientInterceptor::new(plane.clone())));
-        self.add_server_interceptor(Arc::new(LamportServerInterceptor::new(plane.clone())));
-        *self.inner.causality.write() = Some(plane);
-    }
-
-    /// The installed causal plane, if any.
-    pub fn causality(&self) -> Option<CausalityPlane> {
-        self.inner.causality.read().clone()
+        self.add_server_interceptor(Arc::new(LamportServerInterceptor::new(plane)));
     }
 }
 
@@ -410,26 +407,26 @@ impl OrbInner {
     /// the transport.
     fn attempt(
         &self,
+        hooks: &Hooks,
         from: &str,
         object: &ObjectRef,
-        mut request: Request,
+        request: &mut Request,
     ) -> Result<Reply, OrbError> {
         // 1. Client interceptors stamp the outgoing request. A veto
         //    partway through still notifies the interceptors that already
         //    ran, so their per-request state unwinds.
-        let client_interceptors: Vec<_> = self.client_interceptors.read().clone();
-        for (ran, ci) in client_interceptors.iter().enumerate() {
-            if let Err(e) = ci.send_request(&mut request) {
+        for (ran, ci) in hooks.client.iter().enumerate() {
+            if let Err(e) = ci.send_request(request) {
                 let veto = as_veto(ci.name(), e);
-                notify_exception(&client_interceptors[..ran], &request, &veto);
+                notify_exception(&hooks.client[..ran], request, &veto);
                 return Err(veto);
             }
         }
 
-        match self.invoke_transport(from, object, &request) {
+        match self.invoke_transport(&hooks.server, from, object, request) {
             Ok(mut reply) => {
-                for ci in client_interceptors.iter().rev() {
-                    ci.receive_reply(&request, &mut reply);
+                for ci in hooks.client.iter().rev() {
+                    ci.receive_reply(request, &mut reply);
                 }
                 Ok(reply)
             }
@@ -437,7 +434,7 @@ impl OrbInner {
                 // No reply came back (transport loss, servant failure, or
                 // a server-side veto): the error-path counterpart of
                 // `receive_reply`.
-                notify_exception(&client_interceptors, &request, &e);
+                notify_exception(&hooks.client, request, &e);
                 Err(e)
             }
         }
@@ -445,6 +442,7 @@ impl OrbInner {
 
     fn invoke_transport(
         &self,
+        server_interceptors: &[Arc<dyn ServerRequestInterceptor>],
         from: &str,
         object: &ObjectRef,
         request: &Request,
@@ -481,7 +479,6 @@ impl OrbInner {
         //    execution's result — and the reply contexts its server
         //    interceptors attached — is what rides back in the reply;
         //    duplicate executions model redelivery of the same message.
-        let server_interceptors: Vec<_> = self.server_interceptors.read().clone();
         let mut outcome: Option<Result<crate::value::Value, OrbError>> = None;
         let mut reply_contexts: Option<crate::context::ServiceContext> = None;
         for _ in 0..copies {
@@ -830,6 +827,48 @@ mod tests {
     }
 
     #[test]
+    fn retried_attempt_starts_from_the_callers_contexts() {
+        use crate::interceptor::ClientRequestInterceptor;
+        use crate::network::FaultScript;
+        struct Stamp;
+        impl ClientRequestInterceptor for Stamp {
+            fn name(&self) -> &str {
+                "stamp"
+            }
+            fn send_request(&self, request: &mut Request) -> Result<(), OrbError> {
+                let prior = request
+                    .contexts()
+                    .get("stamps")
+                    .and_then(Value::as_str)
+                    .unwrap_or("")
+                    .to_owned();
+                request.contexts_mut().set("stamps", Value::Str(prior + "s"));
+                Ok(())
+            }
+        }
+        let orb = Orb::new();
+        orb.network().install_script(FaultScript::new().drop_nth(0));
+        orb.add_client_interceptor(Arc::new(Stamp));
+        let node = orb.add_node("srv").unwrap();
+        let obj = node
+            .activate("Echo", |req: &Request| {
+                let context = |key| req.contexts().get(key).cloned().unwrap_or(Value::Null);
+                Ok(Value::List(vec![context("stamps"), context("caller")]))
+            })
+            .unwrap();
+        let mut request = Request::new("x");
+        request.contexts_mut().set("caller", Value::Bool(true));
+        let reply =
+            orb.invoke(EXTERNAL_CALLER, &obj, request, &RetryPolicy::immediate(3)).unwrap();
+        assert_eq!(orb.network().stats().dropped, 1, "the first attempt was lost");
+        assert_eq!(
+            reply.result,
+            Value::List(vec![Value::from("s"), Value::Bool(true)]),
+            "the retry carries one stamp on top of the caller's own contexts"
+        );
+    }
+
+    #[test]
     fn server_interceptor_sees_context() {
         use crate::interceptor::ServerRequestInterceptor;
         struct Require;
@@ -943,7 +982,6 @@ mod tests {
         plane.register(&rec_b);
         let orb = Orb::new();
         orb.install_causality(plane.clone());
-        assert!(orb.causality().is_some());
         let a = orb.add_node("a").unwrap();
         let b = orb.add_node("b").unwrap();
         let obj = b.activate("C", |_r: &Request| Ok(Value::Null)).unwrap();

@@ -28,6 +28,7 @@ use std::time::Duration;
 
 use crate::clock::SimClock;
 use crate::error::OrbError;
+use crate::message::Request;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -126,11 +127,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Maximum number of attempts (including the first).
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
     /// The wait before attempt `attempt` (1-based: attempt 0 is the initial
     /// try and never waits). Deterministic: the jitter is an FNV-1a hash of
     /// `delivery_id` and the attempt number, folded into the upper half of
@@ -157,8 +153,9 @@ impl RetryPolicy {
         half + Duration::from_nanos(hash % (span + 1))
     }
 
-    /// Drive `attempt` under this policy: retryable errors are retried with
-    /// backoff on the virtual clock; non-retryable errors return immediately.
+    /// Drive `attempt` on `request` under this policy: retryable errors are
+    /// retried with backoff on the virtual clock, jittered by the request's
+    /// delivery id; non-retryable errors return immediately.
     /// Once the policy's deadline passes — including mid-backoff — no further
     /// attempt starts and [`OrbError::DeadlineExceeded`] is returned.
     ///
@@ -170,32 +167,30 @@ impl RetryPolicy {
     pub fn run<T>(
         &self,
         clock: &SimClock,
-        operation: &str,
-        delivery_id: &str,
-        mut attempt: impl FnMut(u32) -> Result<T, OrbError>,
+        request: &mut Request,
+        mut attempt: impl FnMut(&mut Request, u32) -> Result<T, OrbError>,
     ) -> Result<T, OrbError> {
         let deadline = self.deadline;
         let expired = |d: Duration| clock.now() > d;
+        let op = |request: &Request| request.operation().to_owned();
         let mut last_err: Option<OrbError> = None;
         for n in 0..self.max_attempts {
             if deadline.is_some_and(expired) {
-                return Err(OrbError::DeadlineExceeded { operation: operation.to_owned() });
+                return Err(OrbError::DeadlineExceeded { operation: op(request) });
             }
-            match attempt(n) {
+            match attempt(request, n) {
                 Ok(value) => return Ok(value),
                 Err(e) if e.is_retryable() => last_err = Some(e),
                 Err(e) => return Err(e),
             }
             if n + 1 < self.max_attempts {
-                let backoff = self.backoff_before(n + 1, delivery_id);
+                let backoff = self.backoff_before(n + 1, request.delivery_id().unwrap_or_default());
                 if let Some(d) = deadline {
                     // Would the wait outlive the deadline? Then the next
                     // attempt could never be answered in time: report the
                     // timeout now instead of burning another attempt.
                     if clock.now() + backoff > d {
-                        return Err(OrbError::DeadlineExceeded {
-                            operation: operation.to_owned(),
-                        });
+                        return Err(OrbError::DeadlineExceeded { operation: op(request) });
                     }
                 }
                 if !backoff.is_zero() {
@@ -203,13 +198,17 @@ impl RetryPolicy {
                 }
             }
         }
-        Err(last_err.unwrap_or(OrbError::Timeout { operation: operation.to_owned() }))
+        Err(last_err.unwrap_or_else(|| OrbError::Timeout { operation: op(request) }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn request(id: &str) -> Request {
+        Request::new("op").with_delivery_id(id)
+    }
 
     fn timeout() -> OrbError {
         OrbError::Timeout { operation: "op".into() }
@@ -219,7 +218,7 @@ mod tests {
     fn first_attempt_success_leaves_the_clock_untouched() {
         let clock = SimClock::new();
         let policy = RetryPolicy::default();
-        let result = policy.run(&clock, "op", "id-1", |_n| Ok(7u32));
+        let result = policy.run(&clock, &mut request("id-1"), |_, _n| Ok(7u32));
         assert_eq!(result.unwrap(), 7);
         assert_eq!(clock.now(), Duration::ZERO, "retry layer must be invisible when healthy");
     }
@@ -229,7 +228,7 @@ mod tests {
         let clock = SimClock::new();
         let policy = RetryPolicy::new(4).without_jitter();
         let mut attempts = 0;
-        let result = policy.run(&clock, "op", "id", |n| {
+        let result = policy.run(&clock, &mut request("id"), |_, n| {
             attempts += 1;
             if n < 2 {
                 Err(timeout())
@@ -249,7 +248,7 @@ mod tests {
         let policy = RetryPolicy::new(5);
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, "op", "id", |_n| {
+            .run::<()>(&clock, &mut request("id"), |_, _n| {
                 attempts += 1;
                 Err(OrbError::Application("boom".into()))
             })
@@ -265,7 +264,7 @@ mod tests {
         let policy = RetryPolicy::immediate(3);
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, "op", "id", |_n| {
+            .run::<()>(&clock, &mut request("id"), |_, _n| {
                 attempts += 1;
                 Err(OrbError::Partitioned { from: "a".into(), to: "b".into() })
             })
@@ -318,7 +317,7 @@ mod tests {
             .with_deadline(Duration::from_millis(50));
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, "op", "id", |_n| {
+            .run::<()>(&clock, &mut request("id"), |_, _n| {
                 attempts += 1;
                 Err(timeout())
             })
@@ -335,7 +334,7 @@ mod tests {
         let policy = RetryPolicy::default().with_deadline(Duration::from_secs(1));
         let mut attempts = 0;
         let err = policy
-            .run::<()>(&clock, "op", "id", |_n| {
+            .run::<()>(&clock, &mut request("id"), |_, _n| {
                 attempts += 1;
                 Ok(())
             })
@@ -354,7 +353,7 @@ mod tests {
         let deadline = Duration::from_millis(10);
         let err = policy
             .with_deadline(deadline)
-            .run::<()>(&clock, "op", "id", |_n| Err(timeout()))
+            .run::<()>(&clock, &mut request("id"), |_, _n| Err(timeout()))
             .unwrap_err();
         assert!(matches!(err, OrbError::DeadlineExceeded { .. }));
         assert!(
@@ -372,7 +371,7 @@ mod tests {
             .without_jitter()
             .with_deadline(Duration::from_secs(1));
         let mut attempts = 0;
-        let result = policy.run(&clock, "op", "id", |n| {
+        let result = policy.run(&clock, &mut request("id"), |_, n| {
             attempts += 1;
             if n == 0 {
                 Err(timeout())

@@ -63,6 +63,7 @@ mod tests {
             None,
             None,
             orb::pool::DispatchConfig::default(),
+            Default::default(),
         );
         let control = Control::new(c);
         assert_eq!(control.id(), &TxId::top_level(4));

@@ -34,7 +34,7 @@ use std::time::Duration;
 use orb::choice::{clamp_choice, DeliverySequencer};
 use orb::detector::FailureDetector;
 use orb::pool::{CancelToken, DispatchConfig, FanOutSite, TaskOutcome, WorkerPool};
-use orb::SimClock;
+use orb::{SimClock, SnapshotCell};
 use parking_lot::Mutex;
 use recovery_log::{FailpointSet, Wal};
 use telemetry::{SpanContext, Telemetry};
@@ -72,6 +72,16 @@ struct CoordinatorInner {
     deadline: Option<Duration>,
 }
 
+/// The coordinator's optional collaborators: read once per commit or
+/// rollback, replaced by every `set_*` call. A subtransaction starts from
+/// its parent's, and a factory hands one to all its coordinators.
+#[derive(Clone, Default)]
+pub(crate) struct Hooks {
+    pub(crate) detector: Option<FailureDetector>,
+    pub(crate) telemetry: Option<Telemetry>,
+    pub(crate) sequencer: Option<Arc<dyn DeliverySequencer>>,
+}
+
 /// Coordinates one transaction (mirrors CosTransactions::Coordinator plus
 /// the completion half of Terminator).
 ///
@@ -87,9 +97,7 @@ pub struct Coordinator {
     failpoints: FailpointSet,
     clock: Option<SimClock>,
     dispatch: DispatchConfig,
-    detector: Mutex<Option<FailureDetector>>,
-    telemetry: Mutex<Option<Telemetry>>,
-    sequencer: Mutex<Option<Arc<dyn DeliverySequencer>>>,
+    hooks: SnapshotCell<Hooks>,
     /// Set once, read with one atomic load at every record site.
     journal: OnceLock<ProtocolJournal>,
 }
@@ -114,6 +122,7 @@ impl Coordinator {
         clock: Option<SimClock>,
         deadline: Option<Duration>,
         dispatch: DispatchConfig,
+        hooks: Arc<Hooks>,
     ) -> Arc<Self> {
         Arc::new(Coordinator {
             id,
@@ -131,9 +140,7 @@ impl Coordinator {
             failpoints,
             clock,
             dispatch,
-            detector: Mutex::new(None),
-            telemetry: Mutex::new(None),
-            sequencer: Mutex::new(None),
+            hooks: SnapshotCell::from(hooks),
             journal: OnceLock::new(),
         })
     }
@@ -144,12 +151,12 @@ impl Coordinator {
     /// protocol, and a quarantined *voter* forces early presumed abort
     /// instead of burning the full vote timeout on a suspect peer.
     pub fn set_detector(&self, detector: FailureDetector) {
-        *self.detector.lock() = Some(detector);
+        self.hooks.update(|hooks| hooks.detector = Some(detector));
     }
 
     /// The attached failure detector, if any.
     pub fn detector(&self) -> Option<FailureDetector> {
-        self.detector.lock().clone()
+        self.hooks.load().detector.clone()
     }
 
     /// Attach a telemetry recorder: every commit becomes a `commit:` span
@@ -158,12 +165,12 @@ impl Coordinator {
     /// are counted as `twopc_commits_total` / `twopc_aborts_total`.
     /// Subtransactions inherit the recorder, like the detector.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self.telemetry.lock() = Some(telemetry);
+        self.hooks.update(|hooks| hooks.telemetry = Some(telemetry));
     }
 
     /// The attached telemetry recorder, if any.
     pub fn telemetry(&self) -> Option<Telemetry> {
-        self.telemetry.lock().clone()
+        self.hooks.load().telemetry.clone()
     }
 
     /// Attach a [`DeliverySequencer`]: every round of participant deliveries
@@ -175,7 +182,7 @@ impl Coordinator {
     /// order) the legacy registration-order loops run unchanged.
     /// Subtransactions inherit the sequencer, like the detector.
     pub fn set_sequencer(&self, sequencer: Arc<dyn DeliverySequencer>) {
-        *self.sequencer.lock() = Some(sequencer);
+        self.hooks.update(|hooks| hooks.sequencer = Some(sequencer));
     }
 
     /// Attach a [`ProtocolJournal`]: the coordinator records every
@@ -189,15 +196,6 @@ impl Coordinator {
     /// The attached protocol journal, if any.
     pub fn journal(&self) -> Option<ProtocolJournal> {
         self.journal.get().cloned()
-    }
-
-    fn telemetry_handle(&self) -> Option<Telemetry> {
-        self.telemetry.lock().clone().filter(Telemetry::is_enabled)
-    }
-
-    /// How participant fan-out (prepare / commit / rollback) is scheduled.
-    pub fn dispatch_config(&self) -> DispatchConfig {
-        self.dispatch
     }
 
     /// The context every participant delivery of this coordinator runs
@@ -251,19 +249,19 @@ impl Coordinator {
     /// into `site`.
     fn sequenced_round<T>(
         &self,
+        sequencer: Option<&dyn DeliverySequencer>,
         stage: &str,
         site: &FanOutSite,
         resources: &[Arc<dyn Resource>],
         mut op: impl FnMut(&dyn Resource) -> T,
         clean: impl Fn(&T) -> bool,
     ) -> Vec<T> {
-        let sequencer = self.sequencer.lock().clone();
         let delivery = self.delivery();
         let mut batch = site.inline();
         let mut slots: Vec<Option<T>> = resources.iter().map(|_| None).collect();
         let mut pending: Vec<usize> = (0..resources.len()).collect();
         while !pending.is_empty() {
-            let slot = match &sequencer {
+            let slot = match sequencer {
                 Some(seq) if pending.len() > 1 => {
                     let labels: Vec<&str> =
                         pending.iter().map(|i| resources[*i].resource_name()).collect();
@@ -274,7 +272,7 @@ impl Coordinator {
             let index = pending.remove(slot);
             let resource = &resources[index];
             let result = batch.time(|| delivery.run(|| op(resource.as_ref())));
-            if let Some(seq) = &sequencer {
+            if let Some(seq) = sequencer {
                 seq.report(stage, resource.resource_name(), clean(&result));
             }
             slots[index] = Some(result);
@@ -284,9 +282,10 @@ impl Coordinator {
 
     /// Deliver a rollback round (sequenced when inline, scattered when
     /// pooled) and journal each delivery's fate.
-    fn rollback_round(&self, resources: &[Arc<dyn Resource>]) {
+    fn rollback_round(&self, hooks: &Hooks, resources: &[Arc<dyn Resource>]) {
         let results: Vec<bool> = match self.dispatch.pool_for(&ROLLBACK_SITE, resources.len()) {
             None => self.sequenced_round(
+                hooks.sequencer.as_deref(),
                 "rollback",
                 &ROLLBACK_SITE,
                 resources,
@@ -442,9 +441,7 @@ impl Coordinator {
             failpoints: self.failpoints.clone(),
             clock: self.clock.clone(),
             dispatch: self.dispatch,
-            detector: Mutex::new(self.detector.lock().clone()),
-            telemetry: Mutex::new(self.telemetry.lock().clone()),
-            sequencer: Mutex::new(self.sequencer.lock().clone()),
+            hooks: SnapshotCell::from(self.hooks.load()),
             journal: self.journal.clone(),
         });
         inner.children.push(Arc::clone(&child));
@@ -477,13 +474,14 @@ impl Coordinator {
         // participant invocations (and, on a remote resource proxy, their
         // retry-attempt spans) nest under it. It closes on every exit
         // path, including injected crashes — oracle #7 rejects open spans.
-        let scope = self.telemetry_handle().map(|t| {
+        let hooks = self.hooks.load();
+        let scope = hooks.telemetry.as_ref().filter(|t| t.is_enabled()).map(|t| {
             let span = t.start_span(&format!("commit:{}", self.id));
             t.set_attr(&span, "top_level", if self.is_top_level() { "true" } else { "false" });
             t.enter(span);
             (t, span)
         });
-        let result = self.commit_inner(report_heuristics, scope.as_ref());
+        let result = self.commit_inner(&hooks, report_heuristics, scope.as_ref());
         if let Some((t, span)) = scope {
             match &result {
                 Ok(TxOutcome::Committed) => t.set_attr(&span, "outcome", "committed"),
@@ -507,12 +505,13 @@ impl Coordinator {
 
     fn commit_inner(
         &self,
+        hooks: &Hooks,
         report_heuristics: bool,
-        tel: Option<&(Telemetry, SpanContext)>,
+        tel: Option<&(&Telemetry, SpanContext)>,
     ) -> Result<TxOutcome, TxError> {
         // Settle children and collect a snapshot under the lock, then drive
         // the protocol outside it (participants may call back in).
-        let (resources, synchronizations, doomed) = {
+        let (mut resources, synchronizations, doomed) = {
             let mut inner = self.inner.lock();
             self.assess_timeout(&mut inner);
             match inner.status {
@@ -559,37 +558,31 @@ impl Coordinator {
         // Consult the failure detector before soliciting any vote. Each
         // participant's skip decision is computed exactly once (`should_skip`
         // claims half-open probe slots as a side effect).
-        let detector = self.detector.lock().clone();
-        let resources: Vec<Arc<dyn Resource>> = if let Some(detector) = &detector {
-            let mut kept = Vec::with_capacity(resources.len());
+        let detector = hooks.detector.as_ref();
+        let sequencer = hooks.sequencer.as_deref();
+        if let Some(detector) = detector {
             let mut quarantined_voter = false;
-            for resource in resources {
-                if detector.should_skip(resource.resource_name()) {
-                    if resource.read_only_hint() {
-                        // Its vote could only be ReadOnly; dropping it cannot
-                        // change the outcome, and saves its timeout budget.
-                        continue;
-                    }
-                    // A quarantined voter dooms the transaction: presumed
-                    // abort now, without waiting out a vote that the detector
-                    // predicts will never arrive. The quarantined participant
-                    // itself is *not* contacted — presumed abort lets it
-                    // learn the outcome when it recovers.
-                    quarantined_voter = true;
-                } else {
-                    kept.push(resource);
+            resources.retain(|resource| {
+                if !detector.should_skip(resource.resource_name()) {
+                    return true;
                 }
-            }
+                // A quarantined read-only participant could only vote
+                // ReadOnly: dropping it cannot change the outcome, and saves
+                // its timeout budget. A quarantined voter dooms the
+                // transaction: presumed abort now, without waiting out a vote
+                // that the detector predicts will never arrive. It is *not*
+                // contacted — presumed abort lets it learn the outcome when
+                // it recovers.
+                quarantined_voter |= !resource.read_only_hint();
+                false
+            });
             if quarantined_voter {
                 self.set_status(TxStatus::RollingBack);
-                self.rollback_round(&kept);
+                self.rollback_round(hooks, &resources);
                 self.finish(TxStatus::RolledBack, &synchronizations);
                 return Err(TxError::RolledBack(self.id.clone()));
             }
-            kept
-        } else {
-            resources
-        };
+        }
 
         // One-phase shortcut.
         if resources.len() == 1 {
@@ -628,12 +621,11 @@ impl Coordinator {
                 // pending participant is asked next; without one the loop
                 // walks registration order exactly as before.
                 let journal = self.journal.get();
-                let sequencer = self.sequencer.lock().clone();
                 let delivery = self.delivery();
                 let mut batch = PREPARE_SITE.inline();
                 let mut pending: Vec<usize> = (0..resources.len()).collect();
                 while !pending.is_empty() {
-                    let slot = match &sequencer {
+                    let slot = match sequencer {
                         Some(seq) if pending.len() > 1 => {
                             let labels: Vec<&str> =
                                 pending.iter().map(|i| resources[*i].resource_name()).collect();
@@ -667,7 +659,7 @@ impl Coordinator {
                             self.elapsed_since(vote_started),
                         );
                     }
-                    if let Some(detector) = &detector {
+                    if let Some(detector) = detector {
                         match &answer {
                             Ok(_) => detector.record_success(resource.resource_name()),
                             Err(_) => detector.record_failure(resource.resource_name()),
@@ -680,7 +672,7 @@ impl Coordinator {
                         });
                     }
                     let clean = matches!(answer, Ok(Vote::Commit) | Ok(Vote::ReadOnly));
-                    if let Some(seq) = &sequencer {
+                    if let Some(seq) = sequencer {
                         seq.report("prepare", resource.resource_name(), clean);
                     }
                     match answer {
@@ -725,7 +717,7 @@ impl Coordinator {
                             self.elapsed_since(phase_started),
                         );
                     }
-                    if let Some(detector) = &detector {
+                    if let Some(detector) = detector {
                         match &vote {
                             Ok(_) => detector.record_success(resource.resource_name()),
                             Err(_) => detector.record_failure(resource.resource_name()),
@@ -749,7 +741,7 @@ impl Coordinator {
         if voted_rollback {
             // Presumed abort: no decision record needed; undo the prepared.
             self.set_status(TxStatus::RollingBack);
-            self.rollback_round(&resources);
+            self.rollback_round(hooks, &resources);
             self.finish(TxStatus::RolledBack, &synchronizations);
             return Err(TxError::RolledBack(self.id.clone()));
         }
@@ -794,6 +786,7 @@ impl Coordinator {
         let deliveries: Vec<Option<String>> =
             match self.dispatch.pool_for(&PHASE_TWO_SITE, prepared.len()) {
                 None => self.sequenced_round(
+                    sequencer,
                     "phase2",
                     &PHASE_TWO_SITE,
                     &prepared,
@@ -897,7 +890,7 @@ impl Coordinator {
                 let _ = child.rollback();
             }
         }
-        self.rollback_round(&resources);
+        self.rollback_round(&self.hooks.load(), &resources);
         for participant in &subtx_aware {
             participant.rollback_subtransaction(&self.id);
         }
@@ -951,6 +944,7 @@ mod tests {
             None,
             None,
             DispatchConfig::with_workers(4),
+            Default::default(),
         )
     }
 
@@ -1000,6 +994,7 @@ mod tests {
             None,
             None,
             DispatchConfig::with_workers(4),
+            Default::default(),
         );
         c.set_telemetry(tel.clone());
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
@@ -1049,6 +1044,7 @@ mod tests {
             None,
             None,
             DispatchConfig::serial(),
+            Default::default(),
         );
         let bad = ScriptedResource::voting("bad", Vote::Rollback);
         let never = ScriptedResource::voting("never", Vote::Commit);
@@ -1072,6 +1068,7 @@ mod tests {
             None,
             None,
             DispatchConfig::with_workers(4),
+            Default::default(),
         );
         let bad = ScriptedResource::voting("bad", Vote::Rollback);
         let good = ScriptedResource::voting("good", Vote::Commit);
@@ -1278,6 +1275,7 @@ mod tests {
             None,
             None,
             DispatchConfig::with_workers(4),
+            Default::default(),
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1302,6 +1300,7 @@ mod tests {
             None,
             None,
             DispatchConfig::with_workers(4),
+            Default::default(),
         );
         c.register_resource(ScriptedResource::voting("a", Vote::Commit)).unwrap();
         c.register_resource(ScriptedResource::voting("b", Vote::Commit)).unwrap();
@@ -1322,6 +1321,7 @@ mod tests {
             Some(clock.clone()),
             Some(Duration::from_secs(1)),
             DispatchConfig::default(),
+            Default::default(),
         );
         c.register_resource(ScriptedResource::voting("r", Vote::Commit)).unwrap();
         clock.advance(Duration::from_secs(2));
@@ -1425,6 +1425,7 @@ mod tests {
                 None,
                 None,
                 dispatch,
+                Default::default(),
             );
             c.set_detector(detector.clone());
             c.register_resource(Arc::new(FailingResource)).unwrap();

@@ -13,7 +13,7 @@ use parking_lot::RwLock;
 use recovery_log::{FailpointSet, Wal};
 
 use crate::control::Control;
-use crate::coordinator::Coordinator;
+use crate::coordinator::{Coordinator, Hooks};
 use crate::error::TxError;
 use crate::journal::ProtocolJournal;
 use crate::txlog::{self, ParticipantResolver, TxRecoveryReport};
@@ -28,9 +28,7 @@ pub struct TransactionFactory {
     failpoints: FailpointSet,
     clock: Option<SimClock>,
     dispatch: DispatchConfig,
-    detector: Option<FailureDetector>,
-    telemetry: Option<telemetry::Telemetry>,
-    sequencer: Option<Arc<dyn DeliverySequencer>>,
+    hooks: Arc<Hooks>,
     journal: Option<ProtocolJournal>,
     inflight: RwLock<HashMap<TxId, Arc<Coordinator>>>,
 }
@@ -60,9 +58,7 @@ impl TransactionFactory {
             failpoints: FailpointSet::new(),
             clock: None,
             dispatch: DispatchConfig::default(),
-            detector: None,
-            telemetry: None,
-            sequencer: None,
+            hooks: Arc::default(),
             journal: None,
             inflight: RwLock::new(HashMap::new()),
         }
@@ -109,7 +105,7 @@ impl TransactionFactory {
     /// learned in one transaction carries into the next.
     #[must_use]
     pub fn with_detector(mut self, detector: FailureDetector) -> Self {
-        self.detector = Some(detector);
+        Arc::make_mut(&mut self.hooks).detector = Some(detector);
         self
     }
 
@@ -118,7 +114,7 @@ impl TransactionFactory {
     /// [`Coordinator::set_telemetry`]). Shared, like the detector.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: telemetry::Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        Arc::make_mut(&mut self.hooks).telemetry = Some(telemetry);
         self
     }
 
@@ -128,7 +124,7 @@ impl TransactionFactory {
     /// this to own delivery order; without one, registration order rules.
     #[must_use]
     pub fn with_sequencer(mut self, sequencer: Arc<dyn DeliverySequencer>) -> Self {
-        self.sequencer = Some(sequencer);
+        Arc::make_mut(&mut self.hooks).sequencer = Some(sequencer);
         self
     }
 
@@ -178,16 +174,8 @@ impl TransactionFactory {
             self.clock.clone(),
             deadline,
             self.dispatch,
+            Arc::clone(&self.hooks),
         );
-        if let Some(detector) = &self.detector {
-            coordinator.set_detector(detector.clone());
-        }
-        if let Some(telemetry) = &self.telemetry {
-            coordinator.set_telemetry(telemetry.clone());
-        }
-        if let Some(sequencer) = &self.sequencer {
-            coordinator.set_sequencer(Arc::clone(sequencer));
-        }
         if let Some(journal) = &self.journal {
             coordinator.set_journal(journal.clone());
         }

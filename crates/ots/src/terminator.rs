@@ -64,6 +64,7 @@ mod tests {
             None,
             None,
             orb::pool::DispatchConfig::default(),
+            Default::default(),
         );
         let t = Terminator::new(Arc::clone(&c));
         assert_eq!(t.commit().unwrap(), TxOutcome::Committed);
@@ -79,6 +80,7 @@ mod tests {
             None,
             None,
             orb::pool::DispatchConfig::default(),
+            Default::default(),
         );
         let t = Terminator::new(Arc::clone(&c));
         assert_eq!(t.rollback().unwrap(), TxOutcome::RolledBack);
